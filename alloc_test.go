@@ -137,7 +137,7 @@ func TestSampledRunAllocs(t *testing.T) {
 	c := rocket.New(rocket.DefaultConfig(), prog)
 	p := sample.Default()
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, _, _, err := perf.SampleRocketOn(c, k, p, sample.Options{}); err != nil {
+		if _, _, _, err := perf.Sample(c, k, p, sample.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

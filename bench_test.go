@@ -417,7 +417,7 @@ func BenchmarkRocketSimSpeed(b *testing.B) {
 	}
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, _, err := perf.RunRocket(rocket.DefaultConfig(), k)
+		res, _, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func BenchmarkBoomSimSpeed(b *testing.B) {
 	}
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, _, err := perf.RunBoom(boom.NewConfig(boom.Large), k)
+		res, _, err := perf.Run(boom.MustNew(boom.NewConfig(boom.Large), k.MustProgram()), k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -647,20 +647,20 @@ func BenchmarkSampledVsFull(b *testing.B) {
 	targets := []target{
 		{"rocket",
 			func() (core.Breakdown, error) {
-				_, bd, err := perf.RunRocketOn(rc, k)
+				_, bd, err := perf.Run(rc, k)
 				return bd, err
 			},
 			func() (*sample.Report, core.Breakdown, error) {
-				_, rep, bd, err := perf.SampleRocketOn(rc, k, p, sample.Options{})
+				_, rep, bd, err := perf.Sample(rc, k, p, sample.Options{})
 				return rep, bd, err
 			}},
 		{"LargeBOOM",
 			func() (core.Breakdown, error) {
-				_, bd, err := perf.RunBoomOn(bc, k)
+				_, bd, err := perf.Run(bc, k)
 				return bd, err
 			},
 			func() (*sample.Report, core.Breakdown, error) {
-				_, rep, bd, err := perf.SampleBoomOn(bc, k, p, sample.Options{})
+				_, rep, bd, err := perf.Sample(bc, k, p, sample.Options{})
 				return rep, bd, err
 			}},
 	}
@@ -790,11 +790,11 @@ func BenchmarkSampledParallel(b *testing.B) {
 	targets := []target{
 		{"rocket",
 			func() error {
-				_, _, _, err := perf.SampleRocketOn(rc, k, p, sample.Options{})
+				_, _, _, err := perf.Sample(rc, k, p, sample.Options{})
 				return err
 			},
 			func(w int) error {
-				_, _, _, err := perf.SampleRocketParOn(rcs[:w], k, p, sample.Options{}, nil)
+				_, _, _, err := perf.SamplePar(rcs[:w], k, p, sample.Options{}, nil)
 				return err
 			},
 			func() (*sample.Exec, error) {
@@ -805,11 +805,11 @@ func BenchmarkSampledParallel(b *testing.B) {
 			len(plan.Specs)},
 		{"LargeBOOM",
 			func() error {
-				_, _, _, err := perf.SampleBoomOn(bc, k, p, sample.Options{})
+				_, _, _, err := perf.Sample(bc, k, p, sample.Options{})
 				return err
 			},
 			func(w int) error {
-				_, _, _, err := perf.SampleBoomParOn(bcs[:w], k, p, sample.Options{}, nil)
+				_, _, _, err := perf.SamplePar(bcs[:w], k, p, sample.Options{}, nil)
 				return err
 			},
 			func() (*sample.Exec, error) {

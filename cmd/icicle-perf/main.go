@@ -15,10 +15,12 @@ import (
 	"fmt"
 	"os"
 
+	"icicle/internal/asm"
 	"icicle/internal/boom"
 	"icicle/internal/core"
 	"icicle/internal/isa"
 	"icicle/internal/kernel"
+	"icicle/internal/mem"
 	"icicle/internal/obs"
 	"icicle/internal/perf"
 	"icicle/internal/pmu"
@@ -80,110 +82,80 @@ func main() {
 		fatal(err)
 	}
 
+	var (
+		tally map[string]uint64
+		b     core.Breakdown
+		rep   *sample.Report
+		label string
+		hier  mem.HierarchyConfig
+	)
 	switch *coreKind {
 	case "rocket":
 		cfg := rocket.DefaultConfig()
 		cfg.PMUArch = arch
-		prog, err := k.Program()
-		if err != nil {
-			fatal(err)
-		}
-		c := rocket.New(cfg, prog)
-		c.SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "rocket"))
-		var (
-			tally map[string]uint64
-			b     core.Breakdown
-			rep   *sample.Report
-		)
-		if sp.Enabled() && *samplePar > 0 {
-			cs := make([]*rocket.Core, *samplePar)
-			cs[0] = c
-			for i := 1; i < len(cs); i++ {
-				cs[i] = rocket.New(cfg, prog)
-				cs[i].SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "rocket"))
-			}
-			var res rocket.Result
-			res, rep, b, err = perf.SampleRocketParOn(cs, k, sp, sampleOpts(), nil)
-			tally = res.Tally
-		} else if sp.Enabled() {
-			var res rocket.Result
-			res, rep, b, err = perf.SampleRocketOn(c, k, sp, sampleOpts())
-			tally = res.Tally
-		} else {
-			var res rocket.Result
-			res, b, err = perf.RunRocketOn(c, k)
-			tally = res.Tally
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *tlb {
-			b = withTLB(b, cfg.Hierarchy.TLBHitL2, cfg.Hierarchy.PTWLatency)
-		}
-		fmt.Printf("%s on Rocket (%v counters)\n", k.Name, arch)
-		fmt.Print(b)
-		printSampled(rep)
-		if *events {
-			dump(tally)
-		}
+		var res rocket.Result
+		res, rep, b, err = profile(k, sp, *samplePar, *coreKind,
+			func(prog *asm.Program) (*rocket.Core, error) { return rocket.New(cfg, prog), nil })
+		tally, label, hier = res.Tally, "Rocket", cfg.Hierarchy
 	case "boom":
-		s, err := boom.ParseSize(*size)
-		if err != nil {
-			fatal(err)
+		s, perr := boom.ParseSize(*size)
+		if perr != nil {
+			fatal(perr)
 		}
 		cfg := boom.NewConfig(s)
 		cfg.PMUArch = arch
 		cfg.UseRAS = *ras
-		prog, err := k.Program()
-		if err != nil {
-			fatal(err)
-		}
-		c, err := boom.New(cfg, prog)
-		if err != nil {
-			fatal(err)
-		}
-		c.SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "boom"))
-		var (
-			tally map[string]uint64
-			b     core.Breakdown
-			rep   *sample.Report
-		)
-		if sp.Enabled() && *samplePar > 0 {
-			cs := make([]*boom.Core, *samplePar)
-			cs[0] = c
-			for i := 1; i < len(cs); i++ {
-				if cs[i], err = boom.New(cfg, prog); err != nil {
-					fatal(err)
-				}
-				cs[i].SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "boom"))
-			}
-			var res boom.Result
-			res, rep, b, err = perf.SampleBoomParOn(cs, k, sp, sampleOpts(), nil)
-			tally = res.Tally
-		} else if sp.Enabled() {
-			var res boom.Result
-			res, rep, b, err = perf.SampleBoomOn(c, k, sp, sampleOpts())
-			tally = res.Tally
-		} else {
-			var res boom.Result
-			res, b, err = perf.RunBoomOn(c, k)
-			tally = res.Tally
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *tlb {
-			b = withTLB(b, cfg.Hierarchy.TLBHitL2, cfg.Hierarchy.PTWLatency)
-		}
-		fmt.Printf("%s on %s (%v counters)\n", k.Name, cfg.Name, arch)
-		fmt.Print(b)
-		printSampled(rep)
-		if *events {
-			dump(tally)
-		}
+		var res boom.Result
+		res, rep, b, err = profile(k, sp, *samplePar, *coreKind,
+			func(prog *asm.Program) (*boom.Core, error) { return boom.New(cfg, prog) })
+		tally, label, hier = res.Tally, cfg.Name, cfg.Hierarchy
 	default:
 		fatal(fmt.Errorf("unknown core %q (want rocket or boom)", *coreKind))
 	}
+	if err != nil {
+		fatal(err)
+	}
+	if *tlb {
+		b = withTLB(b, hier.TLBHitL2, hier.PTWLatency)
+	}
+	fmt.Printf("%s on %s (%v counters)\n", k.Name, label, arch)
+	fmt.Print(b)
+	printSampled(rep)
+	if *events {
+		dump(tally)
+	}
+}
+
+// profile builds the cores for the kernel's program — one, or -sample-par
+// window workers for the two-phase engine — with the process telemetry
+// installed under the core kind's label, and runs the kernel in full
+// detail or on the requested sampled engine.
+func profile[C perf.Core[R], R any](k *kernel.Kernel, sp sample.Policy, par int, kind string,
+	build func(*asm.Program) (C, error)) (R, *sample.Report, core.Breakdown, error) {
+	var zero R
+	prog, err := k.Program()
+	if err != nil {
+		return zero, nil, core.Breakdown{}, err
+	}
+	plan := sp.Enabled() && par > 0
+	cs := make([]C, 1)
+	if plan {
+		cs = make([]C, par)
+	}
+	for i := range cs {
+		if cs[i], err = build(prog); err != nil {
+			return zero, nil, core.Breakdown{}, err
+		}
+		cs[i].SetTelemetry(obs.CoreTelemetryIn(obs.Default(), kind))
+	}
+	switch {
+	case plan:
+		return perf.SamplePar(cs, k, sp, sampleOpts(), nil)
+	case sp.Enabled():
+		return perf.Sample(cs[0], k, sp, sampleOpts())
+	}
+	res, b, err := perf.Run(cs[0], k)
+	return res, nil, b, err
 }
 
 // sampleOpts wires a sampled run into the process-wide telemetry

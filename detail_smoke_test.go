@@ -164,13 +164,13 @@ func TestDetailSmokeSampledReport(t *testing.T) {
 
 	cfg := rocket.DefaultConfig()
 	on := rocket.New(cfg, prog)
-	resOn, repOn, bdOn, err := perf.SampleRocketOn(on, k, pol, sample.Options{})
+	resOn, repOn, bdOn, err := perf.Sample(on, k, pol, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := rocket.New(cfg, prog)
 	off.SetStallSkip(false)
-	resOff, repOff, bdOff, err := perf.SampleRocketOn(off, k, pol, sample.Options{})
+	resOff, repOff, bdOff, err := perf.Sample(off, k, pol, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDetailSmokeSampledReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bResOn, bRepOn, bBdOn, err := perf.SampleBoomOn(bOn, k, pol, sample.Options{})
+	bResOn, bRepOn, bBdOn, err := perf.Sample(bOn, k, pol, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDetailSmokeSampledReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	bOff.SetStallSkip(false)
-	bResOff, bRepOff, bBdOff, err := perf.SampleBoomOn(bOff, k, pol, sample.Options{})
+	bResOff, bRepOff, bBdOff, err := perf.Sample(bOff, k, pol, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

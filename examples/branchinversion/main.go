@@ -31,7 +31,7 @@ func main() {
 			name, cycles, b.Retiring*100, b.BadSpec*100, b.Frontend*100)
 	}
 	for _, k := range []*kernel.Kernel{brmiss, inv} {
-		res, b, err := perf.RunRocket(rocket.DefaultConfig(), k)
+		res, b, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func main() {
 
 	fmt.Println("\n== BOOM (TAGE base cold-predicts taken) ==")
 	for _, k := range []*kernel.Kernel{brmiss, inv} {
-		res, b, err := perf.RunBoom(boom.NewConfig(boom.Large), k)
+		res, b, err := perf.Run(boom.MustNew(boom.NewConfig(boom.Large), k.MustProgram()), k)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func main() {
 	for _, kb := range []int{64, 32, 16, 8} {
 		cfg := rocket.DefaultConfig()
 		cfg.Hierarchy.L1D.SizeBytes = kb << 10
-		res, b, err := perf.RunRocket(cfg, k)
+		res, b, err := perf.Run(rocket.New(cfg, k.MustProgram()), k)
 		if err != nil {
 			log.Fatal(err)
 		}

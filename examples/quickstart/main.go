@@ -20,14 +20,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Pick a core. Table IV's five BOOM sizes are available, plus
-	//    Rocket via perf.RunRocket.
+	// 2. Build a core for the workload's program. Table IV's five BOOM
+	//    sizes are available, plus Rocket via rocket.New; both satisfy
+	//    perf.Core, so everything below works on either.
 	cfg := boom.NewConfig(boom.Large)
+	c, err := boom.New(cfg, k.MustProgram())
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// 3. Simulate and evaluate TMA. RunBoom programs the TMA events into
-	//    the counter file, simulates cycle by cycle, and applies the
-	//    Table II model.
-	res, breakdown, err := perf.RunBoom(cfg, k)
+	// 3. Simulate and evaluate TMA. perf.Run resets the core, simulates
+	//    cycle by cycle while the PMU counts the TMA events, and applies
+	//    the Table II model.
+	res, breakdown, err := perf.Run(c, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestAllKernelsExecuteCorrectlyUnderTiming(t *testing.T) {
 	for _, k := range kernel.All() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			res, _, err := perf.RunBoom(large(), k)
+			res, _, err := perf.Run(boom.MustNew(large(), k.MustProgram()), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestAllSizesRunMergesort(t *testing.T) {
 	k, _ := kernel.ByName("mergesort")
 	prev := uint64(0)
 	for _, s := range boom.Sizes {
-		res, _, err := perf.RunBoom(boom.NewConfig(s), k)
+		res, _, err := perf.Run(boom.MustNew(boom.NewConfig(s), k.MustProgram()), k)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -104,7 +104,7 @@ func TestUopAccountingInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, b, err := perf.RunBoom(large(), k)
+		res, b, err := perf.Run(boom.MustNew(large(), k.MustProgram()), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestPerLaneIssueUtilizationDecreases(t *testing.T) {
 	// Within the INT queue, port 0 is scanned first, so lane 0 must be at
 	// least as busy as lane 1 (Table V's pattern).
 	k, _ := kernel.ByName("coremark")
-	res, _, err := perf.RunBoom(large(), k)
+	res, _, err := perf.Run(boom.MustNew(large(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestPerLaneIssueUtilizationDecreases(t *testing.T) {
 func TestBrmissPairOppositeEffects(t *testing.T) {
 	km, _ := kernel.ByName("brmiss")
 	ki, _ := kernel.ByName("brmiss_inv")
-	resM, bM, err := perf.RunBoom(large(), km)
+	resM, bM, err := perf.Run(boom.MustNew(large(), km.MustProgram()), km)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resI, bI, err := perf.RunBoom(large(), ki)
+	resI, bI, err := perf.Run(boom.MustNew(large(), ki.MustProgram()), ki)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestBrmissPairOppositeEffects(t *testing.T) {
 
 func TestMemBoundProxyAssertsDCacheBlocked(t *testing.T) {
 	k, _ := kernel.ByName("505.mcf_r")
-	res, b, err := perf.RunBoom(large(), k)
+	res, b, err := perf.Run(boom.MustNew(large(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestMemBoundProxyAssertsDCacheBlocked(t *testing.T) {
 
 func TestComputeProxyHasNoDCacheBlocked(t *testing.T) {
 	k, _ := kernel.ByName("548.exchange2_r")
-	res, b, err := perf.RunBoom(large(), k)
+	res, b, err := perf.Run(boom.MustNew(large(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +373,11 @@ func TestRASAblationRecoversReturnResteers(t *testing.T) {
 	base := large()
 	withRAS := large()
 	withRAS.UseRAS = true
-	resBase, bBase, err := perf.RunBoom(base, k)
+	resBase, bBase, err := perf.Run(boom.MustNew(base, k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRAS, bRAS, err := perf.RunBoom(withRAS, k)
+	resRAS, bRAS, err := perf.Run(boom.MustNew(withRAS, k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestRASDoesNotBreakNonReturnWorkloads(t *testing.T) {
 		k, _ := kernel.ByName(name)
 		cfg := large()
 		cfg.UseRAS = true
-		res, _, err := perf.RunBoom(cfg, k)
+		res, _, err := perf.Run(boom.MustNew(cfg, k.MustProgram()), k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,10 @@
 // Table I event list including the seven events Icicle adds for TMA.
 package boom
 
-import "icicle/internal/pmu"
+import (
+	"icicle/internal/core"
+	"icicle/internal/pmu"
+)
 
 // Event set IDs (§II-A).
 const (
@@ -110,5 +113,44 @@ func resolveEventIDs(s *pmu.Space) eventIDs {
 		fenceRetired:   s.MustIndex(EvFenceRetired),
 		icacheBlocked:  s.MustIndex(EvICacheBlocked),
 		dcacheBlocked:  s.MustIndex(EvDCacheBlocked),
+	}
+}
+
+// EventSpace returns the core's event space. BOOM's depends on the
+// configuration's lane counts; dense tallies are indexed like its Events.
+func (c *Core) EventSpace() *pmu.Space { return c.Space }
+
+// TMAConfig returns the TMA evaluation config for the core's decode
+// (commit) and issue widths.
+func (c *Core) TMAConfig() core.Config {
+	return core.DefaultConfig(c.Cfg.DecodeWidth, c.Cfg.IssueWidth)
+}
+
+// Counts maps a dense tally (indexed like Space.Events) onto the TMA
+// model inputs. The Flush event counts every pipeline flush; branch
+// mispredicts are recorded separately, so machine clears are the
+// difference.
+func (c *Core) Counts(cycles, insts uint64, tally []uint64) core.Counts {
+	id := &c.ids
+	flush, bm := tally[id.flush], tally[id.brMispredict]
+	var clears uint64
+	if flush > bm {
+		clears = flush - bm
+	}
+	return core.Counts{
+		Cycles:        cycles,
+		InstRet:       insts,
+		UopsIssued:    tally[id.uopsIssued],
+		UopsRetired:   tally[id.uopsRetired],
+		FetchBubbles:  tally[id.fetchBubbles],
+		Recovering:    tally[id.recovering],
+		Flushes:       clears,
+		BrMispred:     bm,
+		FenceRetired:  tally[id.fenceRetired],
+		ICacheBlocked: tally[id.icacheBlocked],
+		DCacheBlocked: tally[id.dcacheBlocked],
+		ITLBMisses:    tally[id.itlbMiss],
+		DTLBMisses:    tally[id.dtlbMiss],
+		L2TLBMisses:   tally[id.l2tlbMiss],
 	}
 }

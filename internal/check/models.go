@@ -7,6 +7,7 @@ import (
 	"icicle/internal/asm"
 	"icicle/internal/boom"
 	"icicle/internal/core"
+	"icicle/internal/isa"
 	"icicle/internal/perf"
 	"icicle/internal/pmu"
 	"icicle/internal/rocket"
@@ -81,122 +82,43 @@ func DefaultModels() []Model {
 	return models
 }
 
-// rocketTraceEvents is the bundle cross-checked between dense tallies,
-// PMU counters, and the decoded trace on Rocket runs.
-var rocketTraceEvents = []string{
-	rocket.EvInstRet,
-	rocket.EvInstIssued,
-	rocket.EvFetchBubbles,
-	rocket.EvRecovering,
-	rocket.EvFlush,
-	rocket.EvBrMispredict,
-	rocket.EvICacheBlocked,
-	rocket.EvDCacheBlocked,
-}
-
-// boomTraceEvents is the BOOM equivalent (per-lane TMA events included, so
-// the cross-check also covers multi-source packing).
-var boomTraceEvents = []string{
-	boom.EvInstRet,
-	boom.EvUopsIssued,
-	boom.EvUopsRetired,
-	boom.EvFetchBubbles,
-	boom.EvRecovering,
-	boom.EvFlush,
-	boom.EvBrMispredict,
-	boom.EvICacheBlocked,
-	boom.EvDCacheBlocked,
-}
-
 // RocketModel returns the Rocket timing model at the paper configuration.
 func RocketModel() Model {
-	return Model{
-		Name: "rocket",
-		Run: func(prog *asm.Program, opt RunOptions) (Outcome, error) {
-			cfg := rocket.DefaultConfig()
-			if opt.MaxCycles > 0 {
-				cfg.MaxCycles = opt.MaxCycles
-			}
-			c := rocket.New(cfg, prog)
-			out, err := rocketOnce(c, opt)
-			if err != nil {
-				return out, err
-			}
-			if opt.Determinism {
-				c.Reset(prog)
-				replay, err := rocketOnce(c, opt)
-				if err != nil {
-					return out, fmt.Errorf("replay: %w", err)
-				}
-				out.Replay = &replay
-			}
-			if opt.SkipDifferential {
-				c.Reset(prog)
-				c.SetStallSkip(opt.Trace)
-				sd, err := rocketOnce(c, RunOptions{MaxCycles: opt.MaxCycles})
-				if err != nil {
-					return out, fmt.Errorf("skip differential: %w", err)
-				}
-				out.SkipDiff = &sd
-			}
-			return out, nil
-		},
-	}
-}
-
-func rocketOnce(c *rocket.Core, opt RunOptions) (Outcome, error) {
-	var tc *traceCapture
-	if opt.Trace {
-		var err error
-		tc, err = attachTrace(rocket.Events, c.PMU, rocketTraceEvents,
-			func(h func(uint64, pmu.Sample)) { c.SetCycleHook(h) })
-		if err != nil {
-			return Outcome{}, err
-		}
-	}
-	res, err := c.Run()
-	if err != nil {
-		return Outcome{}, err
-	}
-	out := Outcome{
-		Cycles: res.Cycles,
-		Insts:  res.Insts,
-		Exit:   res.Exit,
-		Regs:   c.CPU.X,
-		Tally:  res.Tally,
-	}
-	if b, err := core.Evaluate(core.DefaultConfig(1, 1), perf.RocketCounts(res)); err == nil {
-		out.Breakdown, out.HasBreakdown = b, true
-	}
-	if tc != nil {
-		if err := tc.finish(&out); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return coreModel("rocket", func(prog *asm.Program, maxCycles uint64) (perf.Core[rocket.Result], error) {
+		cfg := rocket.DefaultConfig()
+		cfg.MaxCycles = maxCycles
+		return rocket.New(cfg, prog), nil
+	})
 }
 
 // BoomModel returns the BOOM timing model at one of the Table IV sizes.
 func BoomModel(size boom.Size) Model {
-	name := size.String()
+	return coreModel(size.String(), func(prog *asm.Program, maxCycles uint64) (perf.Core[boom.Result], error) {
+		cfg := boom.NewConfig(size)
+		cfg.MaxCycles = maxCycles
+		return boom.New(cfg, prog)
+	})
+}
+
+// coreModel is the one timing-model backend over the detailed-core
+// contract: build returns a core for the program (a zero cycle budget
+// keeps the config's default guard), and the run, its Reset-reuse
+// replay, and its stall-skip differential are the same for every core.
+func coreModel[R any](name string, build func(prog *asm.Program, maxCycles uint64) (perf.Core[R], error)) Model {
 	return Model{
 		Name: name,
 		Run: func(prog *asm.Program, opt RunOptions) (Outcome, error) {
-			cfg := boom.NewConfig(size)
-			if opt.MaxCycles > 0 {
-				cfg.MaxCycles = opt.MaxCycles
-			}
-			c, err := boom.New(cfg, prog)
+			c, err := build(prog, opt.MaxCycles)
 			if err != nil {
 				return Outcome{}, err
 			}
-			out, err := boomOnce(c, opt)
+			out, err := runOnce(c, opt)
 			if err != nil {
 				return out, err
 			}
 			if opt.Determinism {
 				c.Reset(prog)
-				replay, err := boomOnce(c, opt)
+				replay, err := runOnce(c, opt)
 				if err != nil {
 					return out, fmt.Errorf("replay: %w", err)
 				}
@@ -205,7 +127,7 @@ func BoomModel(size boom.Size) Model {
 			if opt.SkipDifferential {
 				c.Reset(prog)
 				c.SetStallSkip(opt.Trace)
-				sd, err := boomOnce(c, RunOptions{MaxCycles: opt.MaxCycles})
+				sd, err := runOnce(c, RunOptions{MaxCycles: opt.MaxCycles})
 				if err != nil {
 					return out, fmt.Errorf("skip differential: %w", err)
 				}
@@ -216,29 +138,31 @@ func BoomModel(size boom.Size) Model {
 	}
 }
 
-func boomOnce(c *boom.Core, opt RunOptions) (Outcome, error) {
+// runOnce runs the (Reset or fresh) core to completion and records its
+// outcome. A traced run cross-checks every event of the core's space.
+func runOnce[R any](c perf.Core[R], opt RunOptions) (Outcome, error) {
+	space, cpu := c.EventSpace(), c.Target().CPU
 	var tc *traceCapture
 	if opt.Trace {
 		var err error
-		tc, err = attachTrace(c.Space, c.PMU, boomTraceEvents,
-			func(h func(uint64, pmu.Sample)) { c.SetCycleHook(h) })
-		if err != nil {
+		if tc, err = attachTrace(space, cpu.CSR, c.SetCycleHook); err != nil {
 			return Outcome{}, err
 		}
 	}
-	res, err := c.Run()
-	if err != nil {
+	if err := c.RunCycles(); err != nil {
 		return Outcome{}, err
 	}
 	out := Outcome{
-		Cycles: res.Cycles,
-		Insts:  res.Insts,
-		Exit:   res.Exit,
-		Regs:   c.CPU.X,
-		Tally:  res.Tally,
+		Cycles: c.Cycles(),
+		Insts:  c.Insts(),
+		Exit:   cpu.ExitCode,
+		Regs:   cpu.X,
+		Tally:  make(map[string]uint64, len(space.Events)),
 	}
-	wc, wi := c.Cfg.DecodeWidth, c.Cfg.IssueWidth
-	if b, err := core.Evaluate(core.DefaultConfig(wc, wi), perf.BoomCounts(res)); err == nil {
+	for i, total := range c.CopyTally(nil) {
+		out.Tally[space.Events[i].Name] = total
+	}
+	if b, err := perf.Evaluate(c); err == nil {
 		out.Breakdown, out.HasBreakdown = b, true
 	}
 	if tc != nil {
@@ -257,11 +181,14 @@ type traceCapture struct {
 	events []string
 	buf    bytes.Buffer
 	w      *trace.Writer
-	pmu    *pmu.PMU
+	pmu    isa.CSRFile
 }
 
-func attachTrace(space *pmu.Space, dev *pmu.PMU, events []string,
-	setHook func(func(uint64, pmu.Sample))) (*traceCapture, error) {
+func attachTrace(space *pmu.Space, dev isa.CSRFile, setHook func(pmu.CycleHook)) (*traceCapture, error) {
+	events := make([]string, len(space.Events))
+	for i, e := range space.Events {
+		events[i] = e.Name
+	}
 	bundle, err := trace.NewBundle(space, events...)
 	if err != nil {
 		return nil, fmt.Errorf("check: trace bundle: %w", err)

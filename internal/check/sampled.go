@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"icicle/internal/boom"
 	"icicle/internal/core"
 	"icicle/internal/kernel"
 	"icicle/internal/perf"
-	"icicle/internal/rocket"
 	"icicle/internal/sample"
 )
 
@@ -98,32 +96,25 @@ func diffFrom(coreName, kernelName string, p sample.Policy,
 	return d
 }
 
-// CompareSampledRocket runs the kernel on Rocket both ways and returns
-// the differential.
-func CompareSampledRocket(cfg rocket.Config, k *kernel.Kernel, p sample.Policy) (SampledDiff, error) {
-	full, fb, err := perf.RunRocket(cfg, k)
+// CompareSampled runs the kernel on the core both ways — full detail,
+// then under the sampling policy on the serial engine or, with plan, on
+// the two-phase plan engine (one window worker) — and returns the
+// differential. The core is Reset before each run.
+func CompareSampled[R any](c perf.Core[R], k *kernel.Kernel, p sample.Policy, plan bool) (SampledDiff, error) {
+	_, fb, err := perf.Run(c, k)
 	if err != nil {
-		return SampledDiff{}, fmt.Errorf("full rocket run: %w", err)
+		return SampledDiff{}, fmt.Errorf("full %s run: %w", c.Name(), err)
 	}
-	_, rep, _, err := perf.SampleRocket(cfg, k, p)
+	fullCycles, fullInsts, fullExit := c.Cycles(), c.Insts(), c.Target().CPU.ExitCode
+	var rep *sample.Report
+	if plan {
+		_, rep, _, err = perf.SamplePar([]perf.Core[R]{c}, k, p, sample.Options{}, nil)
+	} else {
+		_, rep, _, err = perf.Sample(c, k, p, sample.Options{})
+	}
 	if err != nil {
-		return SampledDiff{}, fmt.Errorf("sampled rocket run: %w", err)
+		return SampledDiff{}, fmt.Errorf("sampled %s run: %w", c.Name(), err)
 	}
-	d := diffFrom("rocket", k.Name, p, full.Cycles, full.Insts, full.Exit, fb, rep)
-	return d, d.Check()
-}
-
-// CompareSampledBoom runs the kernel on the BOOM config both ways and
-// returns the differential.
-func CompareSampledBoom(cfg boom.Config, k *kernel.Kernel, p sample.Policy) (SampledDiff, error) {
-	full, fb, err := perf.RunBoom(cfg, k)
-	if err != nil {
-		return SampledDiff{}, fmt.Errorf("full boom run: %w", err)
-	}
-	_, rep, _, err := perf.SampleBoom(cfg, k, p)
-	if err != nil {
-		return SampledDiff{}, fmt.Errorf("sampled boom run: %w", err)
-	}
-	d := diffFrom(cfg.Name, k.Name, p, full.Cycles, full.Insts, full.Exit, fb, rep)
+	d := diffFrom(c.Name(), k.Name, p, fullCycles, fullInsts, fullExit, fb, rep)
 	return d, d.Check()
 }

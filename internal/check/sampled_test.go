@@ -51,27 +51,55 @@ func TestSampledAccuracyStrategies(t *testing.T) {
 			}
 			s.MinIters, s.MaxIters = tc.iters, tc.iters+1
 			k := &kernel.Kernel{Name: tc.strategy + "-long", Source: s.Program(tc.seed)}
-
-			dr, err := CompareSampledRocket(rocket.DefaultConfig(), k, p)
-			if err != nil {
-				t.Fatalf("rocket: %v", err)
-			}
-			t.Logf("rocket: %s", dr)
-			if got := dr.MaxTopLevelErr(); got > tc.epsRocket {
-				t.Errorf("rocket max category error %.2fpp > %.2fpp budget",
-					100*got, 100*tc.epsRocket)
-			}
-
-			db, err := CompareSampledBoom(large, k, p)
-			if err != nil {
-				t.Fatalf("%s: %v", large.Name, err)
-			}
-			t.Logf("%s: %s", large.Name, db)
-			if got := db.MaxTopLevelErr(); got > tc.epsLarge {
-				t.Errorf("%s max category error %.2fpp > %.2fpp budget",
-					large.Name, 100*got, 100*tc.epsLarge)
+			for _, e := range engines {
+				e := e
+				t.Run(e.name, func(t *testing.T) {
+					dr, err := CompareSampled(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, e.plan)
+					assertBudget(t, dr, err, tc.epsRocket, e.plan && planRocketGaps[tc.strategy])
+					db, err := CompareSampled(boom.MustNew(large, k.MustProgram()), k, p, e.plan)
+					assertBudget(t, db, err, tc.epsLarge, false)
+				})
 			}
 		})
+	}
+}
+
+// engines is the sampled-engine axis of the accuracy tables: the serial
+// controller (sample.Run) and the two-phase plan engine at one worker.
+var engines = []struct {
+	name string
+	plan bool
+}{{"serial", false}, {"plan", true}}
+
+// planRocketGaps is the known-gap set: TestSampledAccuracyStrategies rows
+// where the plan engine on Rocket misses the budget the serial engine
+// meets (measured max category error: mixed 6.84pp, memory-aliasing
+// 10.43pp, branch-dense 4.27pp, against 3pp). Unlike the serial engine,
+// which carries warm timing state from window to window, the plan engine
+// starts each window from power-on timing state plus its warm-up replay.
+// The rows are logged, not asserted, and fail once they start to pass,
+// so the set cannot go stale; moving the pins onto the plan engine
+// waits on closing these gaps.
+var planRocketGaps = map[string]bool{"mixed": true, "memory-aliasing": true, "branch-dense": true}
+
+// assertBudget fails a differential whose worst top-level category error
+// exceeds budget — or, for a known gap, logs the miss and fails once the
+// row is within budget.
+func assertBudget(t *testing.T, d SampledDiff, err error, budget float64, knownGap bool) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s", d)
+	got := d.MaxTopLevelErr()
+	switch {
+	case knownGap && got <= budget:
+		t.Errorf("%s/%s: known gap closed (%.2fpp within the %.2fpp budget); drop it from planRocketGaps",
+			d.Core, d.Kernel, 100*got, 100*budget)
+	case knownGap:
+		t.Logf("%s/%s: known gap: max category error %.2fpp > %.2fpp budget", d.Core, d.Kernel, 100*got, 100*budget)
+	case got > budget:
+		t.Errorf("%s max category error %.2fpp > %.2fpp budget", d.Core, 100*got, 100*budget)
 	}
 }
 
@@ -86,35 +114,33 @@ func TestSampledAccuracyDefaultPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := sample.Default()
-
-	dr, err := CompareSampledRocket(rocket.DefaultConfig(), k, p)
-	if err != nil {
-		t.Fatalf("rocket: %v", err)
-	}
-	t.Logf("rocket: %s", dr)
-	for i, e := range dr.Err {
-		if e > 0.02 || e < -0.02 {
-			t.Errorf("rocket %s share off by %.2fpp (limit 2pp)",
-				CategoryNames[i], 100*e)
-		}
-	}
-	if dr.CycleErr > 0.05 {
-		t.Errorf("rocket cycle estimate off by %.2f%%", 100*dr.CycleErr)
-	}
-
 	large := boom.NewConfig(boom.Large)
-	db, err := CompareSampledBoom(large, k, p)
-	if err != nil {
-		t.Fatalf("%s: %v", large.Name, err)
+	for _, e := range engines {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			dr, err := CompareSampled(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, e.plan)
+			assertDefaultPolicy(t, dr, err)
+			db, err := CompareSampled(boom.MustNew(large, k.MustProgram()), k, p, e.plan)
+			assertDefaultPolicy(t, db, err)
+		})
 	}
-	t.Logf("%s: %s", large.Name, db)
-	for i, e := range db.Err {
+}
+
+// assertDefaultPolicy holds a default-policy differential to 2pp per
+// top-level category and 5% cycle error.
+func assertDefaultPolicy(t *testing.T, d SampledDiff, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s", d)
+	for i, e := range d.Err {
 		if e > 0.02 || e < -0.02 {
 			t.Errorf("%s %s share off by %.2fpp (limit 2pp)",
-				large.Name, CategoryNames[i], 100*e)
+				d.Core, CategoryNames[i], 100*e)
 		}
 	}
-	if db.CycleErr > 0.05 {
-		t.Errorf("%s cycle estimate off by %.2f%%", large.Name, 100*db.CycleErr)
+	if d.CycleErr > 0.05 {
+		t.Errorf("%s cycle estimate off by %.2f%%", d.Core, 100*d.CycleErr)
 	}
 }

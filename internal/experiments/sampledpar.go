@@ -111,56 +111,48 @@ func SampledParVsSerial(p sample.Policy, workers int) (SampledParCheck, error) {
 		if _, err := perf.PlanFor(k, p, sample.Options{}); err != nil {
 			return SampledParCheck{}, err
 		}
-		rcs := make([]*rocket.Core, workers)
+		rcs, bcs := make([]*rocket.Core, workers), make([]*boom.Core, workers)
 		for i := range rcs {
 			rcs[i] = rocket.New(rocket.DefaultConfig(), prog)
-		}
-		bcs := make([]*boom.Core, workers)
-		for i := range bcs {
 			if bcs[i], err = boom.New(large, prog); err != nil {
 				return SampledParCheck{}, err
 			}
 		}
 
-		t0 := time.Now()
-		_, serialR, _, err := perf.SampleRocketParOn(rcs[:1], k, p, sample.Options{}, nil)
-		serialWall := time.Since(t0)
+		rr, err := parRow(rcs, k, p)
 		if err != nil {
 			return SampledParCheck{}, err
 		}
-		t0 = time.Now()
-		_, parR, _, err := perf.SampleRocketParOn(rcs, k, p, sample.Options{}, nil)
-		parWall := time.Since(t0)
+		br, err := parRow(bcs, k, p)
 		if err != nil {
 			return SampledParCheck{}, err
 		}
-		sc.Rows = append(sc.Rows, SampledParRow{
-			Core: "rocket", Kernel: name,
-			EstCycles: serialR.EstCycles, Insts: serialR.TotalInsts,
-			Windows: len(serialR.Windows), CPI: serialR.CPI,
-			Identical:  reflect.DeepEqual(serialR, parR),
-			SerialWall: serialWall, ParWall: parWall,
-		})
-
-		t0 = time.Now()
-		_, serialB, _, err := perf.SampleBoomParOn(bcs[:1], k, p, sample.Options{}, nil)
-		serialWall = time.Since(t0)
-		if err != nil {
-			return SampledParCheck{}, err
-		}
-		t0 = time.Now()
-		_, parB, _, err := perf.SampleBoomParOn(bcs, k, p, sample.Options{}, nil)
-		parWall = time.Since(t0)
-		if err != nil {
-			return SampledParCheck{}, err
-		}
-		sc.Rows = append(sc.Rows, SampledParRow{
-			Core: large.Name, Kernel: name,
-			EstCycles: serialB.EstCycles, Insts: serialB.TotalInsts,
-			Windows: len(serialB.Windows), CPI: serialB.CPI,
-			Identical:  reflect.DeepEqual(serialB, parB),
-			SerialWall: serialWall, ParWall: parWall,
-		})
+		sc.Rows = append(sc.Rows, rr, br)
 	}
 	return sc, nil
+}
+
+// parRow runs the kernel through the plan engine on the first core alone
+// (the serial reference) and then on all of them, and compares the two
+// reports field for field.
+func parRow[C perf.Core[R], R any](cs []C, k *kernel.Kernel, p sample.Policy) (SampledParRow, error) {
+	t0 := time.Now()
+	_, serial, _, err := perf.SamplePar(cs[:1], k, p, sample.Options{}, nil)
+	serialWall := time.Since(t0)
+	if err != nil {
+		return SampledParRow{}, err
+	}
+	t0 = time.Now()
+	_, par, _, err := perf.SamplePar(cs, k, p, sample.Options{}, nil)
+	parWall := time.Since(t0)
+	if err != nil {
+		return SampledParRow{}, err
+	}
+	return SampledParRow{
+		Core: cs[0].Name(), Kernel: k.Name,
+		EstCycles: serial.EstCycles, Insts: serial.TotalInsts,
+		Windows: len(serial.Windows), CPI: serial.CPI,
+		Identical:  reflect.DeepEqual(serial, par),
+		SerialWall: serialWall, ParWall: parWall,
+	}, nil
 }

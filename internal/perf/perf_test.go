@@ -172,11 +172,11 @@ func TestCountsFromPMU(t *testing.T) {
 
 func TestRunnersProduceConsistentBreakdowns(t *testing.T) {
 	k, _ := kernel.ByName("dhrystone")
-	_, rb, err := RunRocket(rocket.DefaultConfig(), k)
+	_, rb, err := Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bb, err := RunBoom(boom.NewConfig(boom.Small), k)
+	_, bb, err := Run(boom.MustNew(boom.NewConfig(boom.Small), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}

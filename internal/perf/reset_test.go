@@ -20,6 +20,12 @@ import (
 // workload — the adversarial case for leftover state.
 var resetKernels = []string{"towers", "vvadd", "median", "multiply"}
 
+// Both timing models satisfy the detailed-core contract.
+var (
+	_ Core[rocket.Result] = (*rocket.Core)(nil)
+	_ Core[boom.Result]   = (*boom.Core)(nil)
+)
+
 func TestRocketResetMatchesFresh(t *testing.T) {
 	cfg := rocket.DefaultConfig()
 	var shared *rocket.Core
@@ -35,11 +41,11 @@ func TestRocketResetMatchesFresh(t *testing.T) {
 			}
 			shared = rocket.New(cfg, prog)
 		}
-		fresh, fb, err := RunRocket(cfg, k)
+		fresh, fb, err := Run(rocket.New(cfg, k.MustProgram()), k)
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", name, err)
 		}
-		reused, rb, err := RunRocketOn(shared, k)
+		reused, rb, err := Run(shared, k)
 		if err != nil {
 			t.Fatalf("%s: reused run: %v", name, err)
 		}
@@ -74,11 +80,11 @@ func TestBoomResetMatchesFresh(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				fresh, fb, err := RunBoom(cfg, k)
+				fresh, fb, err := Run(boom.MustNew(cfg, k.MustProgram()), k)
 				if err != nil {
 					t.Fatalf("%s: fresh run: %v", name, err)
 				}
-				reused, rb, err := RunBoomOn(shared, k)
+				reused, rb, err := Run(shared, k)
 				if err != nil {
 					t.Fatalf("%s: reused run: %v", name, err)
 				}

@@ -1,85 +1,73 @@
 package perf
 
 import (
-	"icicle/internal/boom"
+	"icicle/internal/asm"
 	"icicle/internal/core"
 	"icicle/internal/kernel"
-	"icicle/internal/rocket"
+	"icicle/internal/mem"
+	"icicle/internal/obs"
+	"icicle/internal/pmu"
+	"icicle/internal/sample"
 )
 
-// RocketCounts maps a Rocket run's exact event tallies onto the TMA model
-// inputs. Rocket is single-issue, so µops ≡ instructions; machine-clear
-// flushes are D$-miss replays.
-func RocketCounts(res rocket.Result) core.Counts {
-	return core.Counts{
-		Cycles:        res.Cycles,
-		InstRet:       res.Insts,
-		UopsIssued:    res.Tally[rocket.EvInstIssued],
-		UopsRetired:   res.Tally[rocket.EvInstRet],
-		FetchBubbles:  res.Tally[rocket.EvFetchBubbles],
-		Recovering:    res.Tally[rocket.EvRecovering],
-		Flushes:       res.Tally[rocket.EvReplay],
-		BrMispred:     res.Tally[rocket.EvBrMispredict],
-		FenceRetired:  res.Tally[rocket.EvFence],
-		ICacheBlocked: res.Tally[rocket.EvICacheBlocked],
-		DCacheBlocked: res.Tally[rocket.EvDCacheBlocked],
-		ITLBMisses:    res.Tally[rocket.EvITLBMiss],
-		DTLBMisses:    res.Tally[rocket.EvDTLBMiss],
-		L2TLBMisses:   res.Tally[rocket.EvL2TLBMiss],
-	}
+// Core is the detailed-core contract: one surface over both timing
+// models, so every layer above the cores (this package's runners, the
+// sim core pool, the differential oracle, the CLIs) has one code path.
+// *rocket.Core satisfies Core[rocket.Result] and *boom.Core satisfies
+// Core[boom.Result]. Calls through it happen per job or per window,
+// never inside the cycle loops.
+type Core[R any] interface {
+	// The window methods the sampling engines drive.
+	sample.Core
+	// Reset returns the core to power-on state with prog loaded; a Reset
+	// core behaves byte-identically to a freshly built one.
+	Reset(prog *asm.Program)
+	// RunCycles simulates until the workload halts and the pipeline
+	// drains.
+	RunCycles() error
+	Memory() *mem.Sparse
+	SetTelemetry(t *obs.CoreTelemetry)
+	SetStallSkip(on bool)
+	// SetCycleHook installs a per-cycle observer (the trace bridge); a
+	// hooked core steps every cycle.
+	SetCycleHook(h pmu.CycleHook)
+
+	// The per-core facts, each defined once in the core's package.
+
+	// Name labels the core in reports ("rocket", "LargeBOOM", ...).
+	Name() string
+	// Fingerprint renders the core kind and its whole configuration.
+	Fingerprint() string
+	// EventSpace indexes the dense tally.
+	EventSpace() *pmu.Space
+	// TMAConfig carries the core's TMA widths.
+	TMAConfig() core.Config
+	// Counts maps a dense tally onto the TMA model inputs.
+	Counts(cycles, insts uint64, tally []uint64) core.Counts
+	// Target bundles the core with the surfaces the sampling engines
+	// share with it.
+	Target() sample.Target
+	// Result assembles a full-detail run's result.
+	Result() R
+	// Estimate assembles a sampled run's result from its report.
+	Estimate(rep *sample.Report, withCaches bool) R
 }
 
-// BoomCounts maps a BOOM run's exact event tallies onto the TMA model
-// inputs. The Flush event counts every pipeline flush; branch mispredicts
-// are recorded separately, so machine clears are the difference.
-func BoomCounts(res boom.Result) core.Counts {
-	flush := res.Tally[boom.EvFlush]
-	bm := res.Tally[boom.EvBrMispredict]
-	var clears uint64
-	if flush > bm {
-		clears = flush - bm
+// Run resets the core, simulates the kernel on it to completion, and
+// evaluates TMA. A fresh core and a reused one give byte-identical
+// results, which is what makes the sim core pool invisible.
+func Run[R any](c Core[R], k *kernel.Kernel) (R, core.Breakdown, error) {
+	if err := Simulate(c, k); err != nil {
+		var zero R
+		return zero, core.Breakdown{}, err
 	}
-	return core.Counts{
-		Cycles:        res.Cycles,
-		InstRet:       res.Insts,
-		UopsIssued:    res.Tally[boom.EvUopsIssued],
-		UopsRetired:   res.Tally[boom.EvUopsRetired],
-		FetchBubbles:  res.Tally[boom.EvFetchBubbles],
-		Recovering:    res.Tally[boom.EvRecovering],
-		Flushes:       clears,
-		BrMispred:     bm,
-		FenceRetired:  res.Tally[boom.EvFenceRetired],
-		ICacheBlocked: res.Tally[boom.EvICacheBlocked],
-		DCacheBlocked: res.Tally[boom.EvDCacheBlocked],
-		ITLBMisses:    res.Tally[boom.EvITLBMiss],
-		DTLBMisses:    res.Tally[boom.EvDTLBMiss],
-		L2TLBMisses:   res.Tally[boom.EvL2TLBMiss],
-	}
+	return Tally(c)
 }
 
-// RunRocket simulates the kernel on Rocket and evaluates TMA.
-func RunRocket(cfg rocket.Config, k *kernel.Kernel) (rocket.Result, core.Breakdown, error) {
-	prog, err := k.Program()
-	if err != nil {
-		return rocket.Result{}, core.Breakdown{}, err
-	}
-	return RunRocketOn(rocket.New(cfg, prog), k)
-}
-
-// RunRocketOn resets an existing core, simulates the kernel on it, and
-// evaluates TMA. This is the pooled-core path of internal/sim: results
-// are byte-identical to RunRocket with a fresh core.
-func RunRocketOn(c *rocket.Core, k *kernel.Kernel) (rocket.Result, core.Breakdown, error) {
-	if err := SimulateRocketOn(c, k); err != nil {
-		return rocket.Result{}, core.Breakdown{}, err
-	}
-	return TallyRocket(c)
-}
-
-// SimulateRocketOn is the cycle-accurate half of RunRocketOn: program,
-// reset, and run to completion. Split out so callers (the sim pipeline
-// spans) can time simulation and tallying separately.
-func SimulateRocketOn(c *rocket.Core, k *kernel.Kernel) error {
+// Simulate is the cycle-accurate half of Run: program, reset, and run to
+// completion. Split out so callers (the sim pipeline spans) can time
+// simulation and tallying separately.
+func Simulate[R any](c Core[R], k *kernel.Kernel) error {
 	prog, err := k.Program()
 	if err != nil {
 		return err
@@ -88,50 +76,14 @@ func SimulateRocketOn(c *rocket.Core, k *kernel.Kernel) error {
 	return c.RunCycles()
 }
 
-// TallyRocket is the evaluation half of RunRocketOn: extract the dense
-// event tallies and evaluate the TMA tree over them.
-func TallyRocket(c *rocket.Core) (rocket.Result, core.Breakdown, error) {
-	res := c.Result()
-	b, err := core.Evaluate(core.DefaultConfig(1, 1), RocketCounts(res))
-	return res, b, err
+// Tally is the evaluation half of Run: extract the event tallies and
+// evaluate the TMA tree over them.
+func Tally[R any](c Core[R]) (R, core.Breakdown, error) {
+	b, err := Evaluate(c)
+	return c.Result(), b, err
 }
 
-// RunBoom simulates the kernel on BOOM and evaluates TMA.
-func RunBoom(cfg boom.Config, k *kernel.Kernel) (boom.Result, core.Breakdown, error) {
-	prog, err := k.Program()
-	if err != nil {
-		return boom.Result{}, core.Breakdown{}, err
-	}
-	c, err := boom.New(cfg, prog)
-	if err != nil {
-		return boom.Result{}, core.Breakdown{}, err
-	}
-	return RunBoomOn(c, k)
-}
-
-// RunBoomOn resets an existing core, simulates the kernel on it, and
-// evaluates TMA. This is the pooled-core path of internal/sim: results
-// are byte-identical to RunBoom with a fresh core.
-func RunBoomOn(c *boom.Core, k *kernel.Kernel) (boom.Result, core.Breakdown, error) {
-	if err := SimulateBoomOn(c, k); err != nil {
-		return boom.Result{}, core.Breakdown{}, err
-	}
-	return TallyBoom(c)
-}
-
-// SimulateBoomOn is the cycle-accurate half of RunBoomOn.
-func SimulateBoomOn(c *boom.Core, k *kernel.Kernel) error {
-	prog, err := k.Program()
-	if err != nil {
-		return err
-	}
-	c.Reset(prog)
-	return c.RunCycles()
-}
-
-// TallyBoom is the evaluation half of RunBoomOn.
-func TallyBoom(c *boom.Core) (boom.Result, core.Breakdown, error) {
-	res := c.Result()
-	b, err := core.Evaluate(core.DefaultConfig(c.Cfg.DecodeWidth, c.Cfg.IssueWidth), BoomCounts(res))
-	return res, b, err
+// Evaluate evaluates the TMA tree over the core's cumulative tallies.
+func Evaluate[R any](c Core[R]) (core.Breakdown, error) {
+	return core.Evaluate(c.TMAConfig(), c.Counts(c.Cycles(), c.Insts(), c.CopyTally(nil)))
 }

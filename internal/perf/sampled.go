@@ -1,216 +1,144 @@
 package perf
 
 import (
-	"icicle/internal/boom"
+	"fmt"
+	"sync"
+
 	"icicle/internal/core"
+	"icicle/internal/isa"
 	"icicle/internal/kernel"
-	"icicle/internal/rocket"
+	"icicle/internal/mem"
 	"icicle/internal/sample"
 )
 
-// Dense tally indices for Rocket's fixed event space, resolved once:
-// sampled windows diff the dense slices, so the counts glue must not do
-// per-event name lookups.
-var rocketIdx = struct {
-	instIssued, instRet, fetchBubbles, recovering,
-	replay, brMispredict, fence,
-	icacheBlocked, dcacheBlocked,
-	itlbMiss, dtlbMiss, l2tlbMiss int
-}{
-	instIssued:    rocket.Events.MustIndex(rocket.EvInstIssued),
-	instRet:       rocket.Events.MustIndex(rocket.EvInstRet),
-	fetchBubbles:  rocket.Events.MustIndex(rocket.EvFetchBubbles),
-	recovering:    rocket.Events.MustIndex(rocket.EvRecovering),
-	replay:        rocket.Events.MustIndex(rocket.EvReplay),
-	brMispredict:  rocket.Events.MustIndex(rocket.EvBrMispredict),
-	fence:         rocket.Events.MustIndex(rocket.EvFence),
-	icacheBlocked: rocket.Events.MustIndex(rocket.EvICacheBlocked),
-	dcacheBlocked: rocket.Events.MustIndex(rocket.EvDCacheBlocked),
-	itlbMiss:      rocket.Events.MustIndex(rocket.EvITLBMiss),
-	dtlbMiss:      rocket.Events.MustIndex(rocket.EvDTLBMiss),
-	l2tlbMiss:     rocket.Events.MustIndex(rocket.EvL2TLBMiss),
-}
-
-// RocketCountsFn returns the dense-tally analogue of RocketCounts for
-// the sampling controller.
-func RocketCountsFn() sample.CountsFn {
-	return func(cycles, insts uint64, tally []uint64) core.Counts {
-		return core.Counts{
-			Cycles:        cycles,
-			InstRet:       insts,
-			UopsIssued:    tally[rocketIdx.instIssued],
-			UopsRetired:   tally[rocketIdx.instRet],
-			FetchBubbles:  tally[rocketIdx.fetchBubbles],
-			Recovering:    tally[rocketIdx.recovering],
-			Flushes:       tally[rocketIdx.replay],
-			BrMispred:     tally[rocketIdx.brMispredict],
-			FenceRetired:  tally[rocketIdx.fence],
-			ICacheBlocked: tally[rocketIdx.icacheBlocked],
-			DCacheBlocked: tally[rocketIdx.dcacheBlocked],
-			ITLBMisses:    tally[rocketIdx.itlbMiss],
-			DTLBMisses:    tally[rocketIdx.dtlbMiss],
-			L2TLBMisses:   tally[rocketIdx.l2tlbMiss],
-		}
-	}
-}
-
-// BoomCountsFn returns the dense-tally analogue of BoomCounts for the
-// sampling controller. BOOM's event space is per-configuration, so the
-// indices are resolved from the given core's space.
-func BoomCountsFn(c *boom.Core) sample.CountsFn {
-	s := c.Space
-	var idx = struct {
-		uopsIssued, uopsRetired, fetchBubbles, recovering,
-		flush, brMispredict, fenceRetired,
-		icacheBlocked, dcacheBlocked,
-		itlbMiss, dtlbMiss, l2tlbMiss int
-	}{
-		uopsIssued:    s.MustIndex(boom.EvUopsIssued),
-		uopsRetired:   s.MustIndex(boom.EvUopsRetired),
-		fetchBubbles:  s.MustIndex(boom.EvFetchBubbles),
-		recovering:    s.MustIndex(boom.EvRecovering),
-		flush:         s.MustIndex(boom.EvFlush),
-		brMispredict:  s.MustIndex(boom.EvBrMispredict),
-		fenceRetired:  s.MustIndex(boom.EvFenceRetired),
-		icacheBlocked: s.MustIndex(boom.EvICacheBlocked),
-		dcacheBlocked: s.MustIndex(boom.EvDCacheBlocked),
-		itlbMiss:      s.MustIndex(boom.EvITLBMiss),
-		dtlbMiss:      s.MustIndex(boom.EvDTLBMiss),
-		l2tlbMiss:     s.MustIndex(boom.EvL2TLBMiss),
-	}
-	return func(cycles, insts uint64, tally []uint64) core.Counts {
-		flush, bm := tally[idx.flush], tally[idx.brMispredict]
-		var clears uint64
-		if flush > bm {
-			clears = flush - bm
-		}
-		return core.Counts{
-			Cycles:        cycles,
-			InstRet:       insts,
-			UopsIssued:    tally[idx.uopsIssued],
-			UopsRetired:   tally[idx.uopsRetired],
-			FetchBubbles:  tally[idx.fetchBubbles],
-			Recovering:    tally[idx.recovering],
-			Flushes:       clears,
-			BrMispred:     bm,
-			FenceRetired:  tally[idx.fenceRetired],
-			ICacheBlocked: tally[idx.icacheBlocked],
-			DCacheBlocked: tally[idx.dcacheBlocked],
-			ITLBMisses:    tally[idx.itlbMiss],
-			DTLBMisses:    tally[idx.dtlbMiss],
-			L2TLBMisses:   tally[idx.l2tlbMiss],
-		}
-	}
-}
-
-// RocketEventNames labels Rocket's dense tally for sample reports.
-func RocketEventNames() []string {
-	names := make([]string, len(rocket.Events.Events))
-	for i, e := range rocket.Events.Events {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// BoomEventNames labels the given core's dense tally for sample reports.
-func BoomEventNames(c *boom.Core) []string {
-	names := make([]string, len(c.Space.Events))
-	for i, e := range c.Space.Events {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// SampleRocket runs the kernel on Rocket under the sampling policy with
-// default options and returns the extrapolated result, report, and TMA
-// breakdown.
-func SampleRocket(cfg rocket.Config, k *kernel.Kernel, p sample.Policy) (rocket.Result, *sample.Report, core.Breakdown, error) {
-	prog, err := k.Program()
-	if err != nil {
-		return rocket.Result{}, nil, core.Breakdown{}, err
-	}
-	return SampleRocketOn(rocket.New(cfg, prog), k, p, sample.Options{})
-}
-
-// SampleRocketOn resets an existing core and runs the kernel under the
-// sampling policy. Zero-valued Options fields are filled with the Rocket
-// defaults; the returned Result carries extrapolated cycle and event
-// totals (Result.Cycles is the estimate, Result.Insts is exact).
-func SampleRocketOn(c *rocket.Core, k *kernel.Kernel, p sample.Policy, o sample.Options) (rocket.Result, *sample.Report, core.Breakdown, error) {
-	prog, err := k.Program()
-	if err != nil {
-		return rocket.Result{}, nil, core.Breakdown{}, err
-	}
-	c.Reset(prog)
+// sampleOptions fills zero-valued Options fields with the core's facts:
+// its counts mapping, TMA widths, and event names.
+func sampleOptions[R any](c Core[R], o sample.Options) sample.Options {
 	if o.Counts == nil {
-		o.Counts = RocketCountsFn()
+		o.Counts = c.Counts
 	}
 	if o.TMA.CommitWidth == 0 {
-		o.TMA = core.DefaultConfig(1, 1)
+		o.TMA = c.TMAConfig()
 	}
 	if o.EventNames == nil {
-		o.EventNames = RocketEventNames()
+		events := c.EventSpace().Events
+		o.EventNames = make([]string, len(events))
+		for i, e := range events {
+			o.EventNames[i] = e.Name
+		}
 	}
-	rep, err := sample.Run(sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred}, p, o)
-	if err != nil {
-		return rocket.Result{}, nil, core.Breakdown{}, err
-	}
-	res := rocket.Result{
-		Cycles: rep.EstCycles,
-		Insts:  rep.TotalInsts,
-		Tally:  rep.ScaledTallyMap(),
-		L1I:    c.Hier.L1I.Stats(),
-		L1D:    c.Hier.L1D.Stats(),
-		L2:     c.Hier.L2.Stats(),
-		Exit:   rep.Exit,
-	}
-	return res, rep, rep.Breakdown, nil
+	return o
 }
 
-// SampleBoom runs the kernel on BOOM under the sampling policy with
-// default options.
-func SampleBoom(cfg boom.Config, k *kernel.Kernel, p sample.Policy) (boom.Result, *sample.Report, core.Breakdown, error) {
+// Sample resets the core and runs the kernel under the sampling policy on
+// the serial engine (sample.Run). Zero-valued Options fields are filled
+// from the core's facts; the returned result carries extrapolated cycle
+// and event totals (its Insts are exact).
+func Sample[R any](c Core[R], k *kernel.Kernel, p sample.Policy, o sample.Options) (R, *sample.Report, core.Breakdown, error) {
+	var zero R
 	prog, err := k.Program()
 	if err != nil {
-		return boom.Result{}, nil, core.Breakdown{}, err
-	}
-	c, err := boom.New(cfg, prog)
-	if err != nil {
-		return boom.Result{}, nil, core.Breakdown{}, err
-	}
-	return SampleBoomOn(c, k, p, sample.Options{})
-}
-
-// SampleBoomOn resets an existing core and runs the kernel under the
-// sampling policy, filling zero-valued Options with the BOOM defaults.
-func SampleBoomOn(c *boom.Core, k *kernel.Kernel, p sample.Policy, o sample.Options) (boom.Result, *sample.Report, core.Breakdown, error) {
-	prog, err := k.Program()
-	if err != nil {
-		return boom.Result{}, nil, core.Breakdown{}, err
+		return zero, nil, core.Breakdown{}, err
 	}
 	c.Reset(prog)
-	if o.Counts == nil {
-		o.Counts = BoomCountsFn(c)
-	}
-	if o.TMA.CommitWidth == 0 {
-		o.TMA = core.DefaultConfig(c.Cfg.DecodeWidth, c.Cfg.IssueWidth)
-	}
-	if o.EventNames == nil {
-		o.EventNames = BoomEventNames(c)
-	}
-	rep, err := sample.Run(sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred}, p, o)
+	rep, err := sample.Run(c.Target(), p, sampleOptions(c, o))
 	if err != nil {
-		return boom.Result{}, nil, core.Breakdown{}, err
+		return zero, nil, core.Breakdown{}, err
 	}
-	res := boom.Result{
-		Cycles:    rep.EstCycles,
-		Insts:     rep.TotalInsts,
-		Tally:     rep.ScaledTallyMap(),
-		LaneTally: map[string][]uint64{},
-		L1I:       c.Hier.L1I.Stats(),
-		L1D:       c.Hier.L1D.Stats(),
-		L2:        c.Hier.L2.Stats(),
-		Exit:      rep.Exit,
+	return c.Estimate(rep, true), rep, rep.Breakdown, nil
+}
+
+// SamplePar runs the kernel under the two-phase sampled engine, fanning
+// the plan's detailed windows over the given worker cores (all built
+// with the same config; each is Reset first). One core is the serial
+// reference — the report is bit-identical for any worker count. memo,
+// when non-nil, caches per-window results across runs. The returned
+// result carries extrapolated totals like Sample's, except its cache
+// statistics stay zero: per-window hierarchy resets make cumulative
+// cache counters meaningless here.
+func SamplePar[C Core[R], R any](cs []C, k *kernel.Kernel, p sample.Policy, o sample.Options, memo sample.WindowMemo) (R, *sample.Report, core.Breakdown, error) {
+	var zero R
+	if len(cs) == 0 {
+		return zero, nil, core.Breakdown{}, fmt.Errorf("perf: no worker cores")
 	}
-	return res, rep, rep.Breakdown, nil
+	prog, err := k.Program()
+	if err != nil {
+		return zero, nil, core.Breakdown{}, err
+	}
+	o = sampleOptions(cs[0], o)
+	plan, err := PlanFor(k, p, o)
+	if err != nil {
+		return zero, nil, core.Breakdown{}, err
+	}
+	targets := make([]sample.Target, len(cs))
+	for i, c := range cs {
+		c.Reset(prog)
+		targets[i] = c.Target()
+	}
+	rep, err := sample.RunPlan(plan, p, o, sample.Par{
+		Targets:    targets,
+		Memo:       memo,
+		MemoPrefix: cs[0].Fingerprint() + "|" + k.Name,
+	})
+	if err != nil {
+		return zero, nil, core.Breakdown{}, err
+	}
+	return cs[0].Estimate(rep, false), rep, rep.Breakdown, nil
+}
+
+// Plan cache: the producer pass of the two-phase sampled engine is a
+// full functional run of the program, which would dominate sampled wall
+// time if repeated per job (BENCH_5.json: fast-forward is ~2/3 of a
+// serial sampled run). A plan depends only on the program and the
+// sampling cadence — not on the core config or the window length — so
+// one cached plan serves a whole config sweep on both core models. The
+// cache is process-wide with singleflight builds, like sim's job cache.
+type planEntry struct {
+	done chan struct{}
+	plan *sample.Plan
+	err  error
+}
+
+var (
+	planMu    sync.Mutex
+	planCache = map[string]*planEntry{}
+)
+
+// PlanFor returns the (possibly cached) window plan for the kernel under
+// the policy's cadence. Options only matter for the build (tracing and
+// telemetry of the producer pass); cache hits ignore them.
+func PlanFor(k *kernel.Kernel, p sample.Policy, o sample.Options) (*sample.Plan, error) {
+	key := k.Name + "|" + p.ScheduleKey()
+	planMu.Lock()
+	if e, ok := planCache[key]; ok {
+		planMu.Unlock()
+		<-e.done
+		return e.plan, e.err
+	}
+	e := &planEntry{done: make(chan struct{})}
+	planCache[key] = e
+	planMu.Unlock()
+	e.plan, e.err = buildPlan(k, p, o)
+	close(e.done)
+	return e.plan, e.err
+}
+
+// ResetPlanCache drops every cached plan (benchmark ablations measure
+// cold builds with this).
+func ResetPlanCache() {
+	planMu.Lock()
+	planCache = map[string]*planEntry{}
+	planMu.Unlock()
+}
+
+// buildPlan runs the producer pass on a dedicated functional CPU.
+func buildPlan(k *kernel.Kernel, p sample.Policy, o sample.Options) (*sample.Plan, error) {
+	prog, err := k.Program()
+	if err != nil {
+		return nil, err
+	}
+	m := mem.NewSparse()
+	prog.LoadInto(m)
+	cpu := isa.NewCPU(m, prog.Entry)
+	return sample.BuildPlan(cpu, m, p, o)
 }

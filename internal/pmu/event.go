@@ -112,6 +112,11 @@ func (s *Space) Lookup(id ID) (Event, bool) {
 // Space.Events) a bitmask of which sources were high this cycle.
 type Sample []uint64
 
+// CycleHook observes every simulated cycle of a detailed core (the trace
+// bridge, the counter multiplexer). The sample must not be retained
+// across calls.
+type CycleHook func(cycle uint64, sample Sample)
+
 // NewSample allocates a zeroed sample for the space.
 func (s *Space) NewSample() Sample { return make(Sample, len(s.Events)) }
 

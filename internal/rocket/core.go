@@ -12,9 +12,9 @@ import (
 	"icicle/internal/stats"
 )
 
-// CycleHook observes every simulated cycle (used by the trace bridge).
-// The sample must not be retained across calls.
-type CycleHook func(cycle uint64, sample pmu.Sample)
+// CycleHook observes every simulated cycle (used by the trace bridge);
+// both cores share pmu.CycleHook.
+type CycleHook = pmu.CycleHook
 
 // producer kinds drive interlock-event attribution.
 type producerKind uint8
@@ -184,6 +184,9 @@ func (c *Core) SetCycleHook(h CycleHook) { c.hook = h }
 // Unlike the cycle hook it survives Reset, so the sim core pool installs
 // it once per acquisition.
 func (c *Core) SetTelemetry(t *obs.CoreTelemetry) { c.tel = t }
+
+// Name names the core model in reports ("rocket").
+func (c *Core) Name() string { return "rocket" }
 
 // flushTelemetry publishes the (cycles, insts) delta since the last flush.
 func (c *Core) flushTelemetry() {

@@ -5,7 +5,10 @@
 // Fetch-bubbles, Recovering).
 package rocket
 
-import "icicle/internal/pmu"
+import (
+	"icicle/internal/core"
+	"icicle/internal/pmu"
+)
 
 // Event set IDs, following the Chipyard grouping (§II-A, Table I).
 const (
@@ -126,3 +129,33 @@ var (
 	idFetchBubbles     = Events.MustIndex(EvFetchBubbles)
 	idRecovering       = Events.MustIndex(EvRecovering)
 )
+
+// EventSpace returns the core's event space (Events: Rocket's is the same
+// for every configuration). Dense tallies are indexed like its Events.
+func (c *Core) EventSpace() *pmu.Space { return Events }
+
+// TMAConfig returns the TMA evaluation config for Rocket's widths: single
+// issue and single commit.
+func (c *Core) TMAConfig() core.Config { return core.DefaultConfig(1, 1) }
+
+// Counts maps a dense tally (indexed like Events.Events) onto the TMA
+// model inputs. Rocket is single-issue, so µops ≡ instructions;
+// machine-clear flushes are D$-miss replays.
+func (c *Core) Counts(cycles, insts uint64, tally []uint64) core.Counts {
+	return core.Counts{
+		Cycles:        cycles,
+		InstRet:       insts,
+		UopsIssued:    tally[idInstIssued],
+		UopsRetired:   tally[idInstRet],
+		FetchBubbles:  tally[idFetchBubbles],
+		Recovering:    tally[idRecovering],
+		Flushes:       tally[idReplay],
+		BrMispred:     tally[idBrMispredict],
+		FenceRetired:  tally[idFence],
+		ICacheBlocked: tally[idICacheBlocked],
+		DCacheBlocked: tally[idDCacheBlocked],
+		ITLBMisses:    tally[idITLBMiss],
+		DTLBMisses:    tally[idDTLBMiss],
+		L2TLBMisses:   tally[idL2TLBMiss],
+	}
+}

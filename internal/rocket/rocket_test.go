@@ -40,7 +40,7 @@ func TestAllKernelsExecuteCorrectlyUnderTiming(t *testing.T) {
 	for _, k := range kernel.All() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			res, _, err := perf.RunRocket(rocket.DefaultConfig(), k)
+			res, _, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestSlotAccountingInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, b, err := perf.RunRocket(rocket.DefaultConfig(), k)
+		res, b, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestMulDivInterlock(t *testing.T) {
 
 func TestBranchMispredictsOnColdChain(t *testing.T) {
 	k, _ := kernel.ByName("brmiss")
-	res, _, err := perf.RunRocket(rocket.DefaultConfig(), k)
+	res, _, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBranchMispredictsOnColdChain(t *testing.T) {
 
 func TestInvertedChainPredictsPerfectly(t *testing.T) {
 	k, _ := kernel.ByName("brmiss_inv")
-	res, _, err := perf.RunRocket(rocket.DefaultConfig(), k)
+	res, _, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +258,11 @@ func TestSmallerL1DRaisesBackendBound(t *testing.T) {
 	big := rocket.DefaultConfig()
 	small := rocket.DefaultConfig()
 	small.Hierarchy.L1D.SizeBytes = 16 << 10
-	resBig, bBig, err := perf.RunRocket(big, k)
+	resBig, bBig, err := perf.Run(rocket.New(big, k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSmall, bSmall, err := perf.RunRocket(small, k)
+	resSmall, bSmall, err := perf.Run(rocket.New(small, k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestAtomicEventAndTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := perf.RunRocket(rocket.DefaultConfig(), k)
+	res, _, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"icicle/internal/branch"
 	"icicle/internal/isa"
 	"icicle/internal/mem"
+	"icicle/internal/sample"
 )
 
 // Sampled-simulation support: the state-handoff contract internal/sample
@@ -58,57 +59,32 @@ func (c *Core) Attach(ck isa.Checkpoint) {
 	c.ResetPipeline()
 }
 
-// RunWindow runs the detailed cycle loop for up to maxCycles more cycles,
-// stopping early if the workload halts and the pipeline drains. The
-// config's MaxCycles budget still bounds the cumulative detailed cycle
-// count as a runaway guard.
-func (c *Core) RunWindow(maxCycles uint64) error {
+// RunWindowBounded runs the detailed cycle loop for up to maxCycles more
+// cycles, stopping early if the workload halts and the pipeline drains,
+// or once maxInsts instructions have retired (0 = no instruction bound).
+// The exact instruction bound keeps a plan-scheduled window from storing
+// past the memory-delta boundary the two-phase sampling plan assigned
+// it; Rocket retires at most one instruction per cycle, so the
+// cycle-loop check is exact. The config's MaxCycles budget still bounds
+// the cumulative detailed cycle count as a runaway guard.
+func (c *Core) RunWindowBounded(maxCycles, maxInsts uint64) error {
 	budget := c.Cfg.MaxCycles
 	if budget == 0 {
 		budget = 2_000_000_000
 	}
 	end := c.cycle + maxCycles
+	instEnd := ^uint64(0)
+	if maxInsts != 0 {
+		instEnd = c.retiredTotal + maxInsts
+	}
 	// Cap skips at the window end and the cycle budget so the loop
 	// re-evaluates both conditions exactly where per-cycle stepping would.
-	c.skipLimit = end
-	if budget < end {
-		c.skipLimit = budget
-	}
-	for !c.done && c.cycle < end {
-		if c.cycle >= budget {
-			c.flushTelemetry()
-			return fmt.Errorf("rocket: cycle budget %d exhausted in sampled window (pc 0x%x)", budget, c.CPU.PC)
-		}
-		if err := c.step(); err != nil {
-			c.flushTelemetry()
-			return err
-		}
-	}
-	c.flushTelemetry()
-	return nil
-}
-
-// RunWindowBounded is RunWindow with an additional exact instruction
-// bound: the window stops once maxInsts instructions have retired, so it
-// can never store past the memory-delta boundary the two-phase sampling
-// plan assigned it. Rocket retires at most one instruction per cycle, so
-// the cycle-loop check is exact. A zero maxInsts means unbounded.
-func (c *Core) RunWindowBounded(maxCycles, maxInsts uint64) error {
-	if maxInsts == 0 {
-		return c.RunWindow(maxCycles)
-	}
-	budget := c.Cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	end := c.cycle + maxCycles
-	instEnd := c.retiredTotal + maxInsts
-	c.skipLimit = end
-	if budget < end {
-		c.skipLimit = budget
-	}
 	// No instruction-bound cap is needed: a skipped stretch retires
 	// nothing, and the loop re-checks retiredTotal after every step.
+	c.skipLimit = end
+	if budget < end {
+		c.skipLimit = budget
+	}
 	for !c.done && c.cycle < end && c.retiredTotal < instEnd {
 		if c.cycle >= budget {
 			c.flushTelemetry()
@@ -138,6 +114,35 @@ func (c *Core) BeginWindow() {
 	c.PMU.Reset()
 	c.Hier.Reset()
 	branch.Reset(c.Pred)
+}
+
+// Target bundles the core with the functional CPU, hierarchy,
+// predictor, and memory it shares with the sampling engines.
+func (c *Core) Target() sample.Target {
+	return sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred, Mem: c.memory}
+}
+
+// Fingerprint renders the core kind and every config field: the prefix
+// of the sampled engine's window-memo keys.
+func (c *Core) Fingerprint() string { return fmt.Sprintf("rocket|%+v", c.Cfg) }
+
+// Estimate assembles a Result from a sampled run's report: extrapolated
+// cycle and event totals, exact instruction count and exit code.
+// withCaches adds the hierarchy's cumulative cache statistics, which are
+// meaningful on the serial engine (its caches stay warm across the run);
+// the plan engine resets the hierarchy per window, so its results leave
+// them zero.
+func (c *Core) Estimate(rep *sample.Report, withCaches bool) Result {
+	res := Result{
+		Cycles: rep.EstCycles,
+		Insts:  rep.TotalInsts,
+		Tally:  rep.ScaledTallyMap(),
+		Exit:   rep.Exit,
+	}
+	if withCaches {
+		res.L1I, res.L1D, res.L2 = c.Hier.L1I.Stats(), c.Hier.L1D.Stats(), c.Hier.L2.Stats()
+	}
+	return res
 }
 
 // Memory returns the core's backing sparse memory (the image its CPU and

@@ -17,11 +17,10 @@ type Core interface {
 	// Attach restores the architectural checkpoint and clears the
 	// pipeline, keeping caches/predictors/tallies/cycle counter warm.
 	Attach(ck isa.Checkpoint)
-	// RunWindow runs the detailed loop for up to maxCycles more cycles.
-	RunWindow(maxCycles uint64) error
-	// RunWindowBounded additionally stops the window exactly at maxInsts
-	// retired instructions (0 = unbounded), so a plan-scheduled window
-	// never stores past its memory-delta boundary.
+	// RunWindowBounded runs the detailed loop for up to maxCycles more
+	// cycles, stopping exactly at maxInsts retired instructions (0 =
+	// unbounded), so a plan-scheduled window never stores past its
+	// memory-delta boundary.
 	RunWindowBounded(maxCycles, maxInsts uint64) error
 	// BeginWindow rebases the core's timing state — cycle clock, PMU,
 	// caches, predictors — to power-on while leaving architectural state,
@@ -123,7 +122,7 @@ func Run(t Target, p Policy, o Options) (*Report, error) {
 		startRet := t.CPU.InstRet
 		before = t.Core.CopyTally(before)
 		span := o.Tracer.Begin("window", "sample", o.Tid)
-		err := t.Core.RunWindow(p.Window)
+		err := t.Core.RunWindowBounded(p.Window, 0)
 		wCycles := t.Core.Cycles() - startCycle
 		wInsts := t.Core.Insts() - startInst
 		span.End(obs.Arg{Key: "cycles", Val: wCycles}, obs.Arg{Key: "insts", Val: wInsts})

@@ -45,7 +45,7 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 	p := sample.Policy{Window: 512, Period: 4096, Warmup: 512}
 	run := func() (*sample.Report, rocket.Result) {
-		res, rep, _, err := perf.SampleRocket(rocket.DefaultConfig(), k, p)
+		res, rep, _, err := perf.Sample(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, sample.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +85,12 @@ func TestShortProgramExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := perf.RunRocket(rocket.DefaultConfig(), k)
+	full, _, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := sample.Policy{Window: full.Cycles + 1000, Period: 1 << 20, Warmup: 64}
-	res, rep, _, err := perf.SampleRocket(rocket.DefaultConfig(), k, p)
+	res, rep, _, err := perf.Sample(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSampledReportShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := sample.Policy{Window: 256, Period: 2048, Warmup: 256}
-	_, rep, _, err := perf.SampleRocket(rocket.DefaultConfig(), k, p)
+	_, rep, _, err := perf.Sample(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

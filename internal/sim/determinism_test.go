@@ -20,7 +20,7 @@ func TestParallelMatchesSerialRocketGrid(t *testing.T) {
 	serialRows := make([]string, len(micro))
 	serialTallies := make([]map[string]uint64, len(micro))
 	for i, k := range micro {
-		res, b, err := perf.RunRocket(cfg, k)
+		res, b, err := perf.Run(rocket.New(cfg, k.MustProgram()), k)
 		if err != nil {
 			t.Fatalf("serial %s: %v", k.Name, err)
 		}
@@ -61,7 +61,7 @@ func TestParallelMatchesSerialBoomGrid(t *testing.T) {
 	serialTallies := make([]map[string]uint64, len(micro))
 	serialLanes := make([]map[string][]uint64, len(micro))
 	for i, k := range micro {
-		res, b, err := perf.RunBoom(cfg, k)
+		res, b, err := perf.Run(boom.MustNew(cfg, k.MustProgram()), k)
 		if err != nil {
 			t.Fatalf("serial %s: %v", k.Name, err)
 		}

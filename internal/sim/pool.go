@@ -1,10 +1,11 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 
+	"icicle/internal/asm"
 	"icicle/internal/boom"
+	"icicle/internal/core"
 	"icicle/internal/obs"
 	"icicle/internal/perf"
 	"icicle/internal/rocket"
@@ -16,8 +17,9 @@ import (
 // sparse-memory frames, and uop arena; Reset restores all of that in
 // place (the program image is zeroed and copied back), so a pooled job's
 // steady-state cost is the cycle loop alone. One sync.Pool per config
-// fingerprint — a pooled core is only ever handed to a job with the
-// exact same configuration, and idle cores stay reclaimable by the GC.
+// fingerprint (Job.ConfigFingerprint, which names the core kind) — a
+// pooled core is only ever handed to a job with the exact same core and
+// configuration, and idle cores stay reclaimable by the GC.
 //
 // The pools are process-wide (like the kernel program cache): every
 // Runner shares them, so replacing the default runner keeps warm cores.
@@ -40,175 +42,101 @@ func (cp *corePools) get(key string) *sync.Pool {
 	return p
 }
 
-var (
-	rocketCores corePools
-	boomCores   corePools
-)
+var cores corePools
 
-// executeJob runs one job on the tid's trace track. With pooling enabled
-// (the default) it drives a recycled core through the split
-// perf.Simulate*/Tally* halves so the acquire-core, simulate, and tally
-// stages each get their own span; Reset guarantees the result is
+// executeJob runs one job on the tid's trace track, on the core model
+// its kind selects. The per-kind code is only the constructor, the
+// telemetry handle, and the result field; everything else is runDetailed.
+func (r *Runner) executeJob(j Job, tid int) Result {
+	res := Result{Job: j}
+	if j.Core == Boom {
+		res.Boom, res.Sampled, res.Breakdown, res.Err = runDetailed(r, j, tid, r.m.boom,
+			func(prog *asm.Program) (perf.Core[boom.Result], error) { return boom.New(j.Boom, prog) })
+	} else {
+		res.Rocket, res.Sampled, res.Breakdown, res.Err = runDetailed(r, j, tid, r.m.rocket,
+			func(prog *asm.Program) (perf.Core[rocket.Result], error) { return rocket.New(j.Rocket, prog), nil })
+	}
+	return res
+}
+
+// runDetailed acquires the job's cores and runs it in its detail mode:
+// full detail through the split perf.Simulate/Tally halves, the serial
+// sampled engine, or the two-phase plan engine on SamplePar window
+// workers. Each stage gets its own span. With pooling enabled (the
+// default) the cores are recycled; Reset guarantees the result is
 // byte-identical to a fresh-core run (the determinism and golden-reset
 // tests enforce this), so pooling is invisible outside the allocation
-// profile. The core goes back to the pool even after an error: Reset
+// profile. With pooling off every core is built fresh and dropped
+// afterwards. Cores go back to the pool even after an error: Reset
 // reinitializes every field. The runner's throughput telemetry handle is
 // (re-)installed on every acquisition — it survives Reset, so cycle and
 // instruction counts are attributed to the runner currently driving the
 // core.
-func (r *Runner) executeJob(j Job, tid int) Result {
+func runDetailed[R any](r *Runner, j Job, tid int, tel *obs.CoreTelemetry,
+	build func(*asm.Program) (perf.Core[R], error)) (res R, rep *sample.Report, b core.Breakdown, err error) {
 	tr := r.tracer
-	if !r.corePool {
-		sp := tr.Begin("simulate", "sim", tid)
-		res := execute(j)
+	plan := j.Sample.Enabled() && j.SamplePar > 0
+	n := 1
+	if plan {
+		n = j.SamplePar
+	}
+	cs := make([]perf.Core[R], 0, n)
+	var pool *sync.Pool
+	if r.corePool {
+		pool = cores.get(j.ConfigFingerprint())
+		defer func() {
+			for _, c := range cs {
+				pool.Put(c)
+			}
+		}()
+	}
+
+	acq := tr.Begin("acquire-core", "pool", tid)
+	fresh := false
+	for len(cs) < n {
+		var c perf.Core[R]
+		if pool != nil {
+			c, _ = pool.Get().(perf.Core[R])
+		}
+		if c == nil {
+			var prog *asm.Program
+			if prog, err = j.Kernel.Program(); err == nil {
+				c, err = build(prog)
+			}
+			if err != nil {
+				return res, nil, b, err
+			}
+			r.m.coreBuilds.Inc()
+			fresh = true
+		} else {
+			r.m.coreReuses.Inc()
+		}
+		c.SetTelemetry(tel)
+		cs = append(cs, c)
+	}
+	if tr != nil {
+		acq.End(obs.Arg{Key: "fresh", Val: fresh})
+	}
+
+	o := sample.Options{Telemetry: r.m.sample, Tracer: tr, Tid: tid}
+	switch {
+	case plan:
+		sp := tr.Begin("simulate-sampled-par", "sim", tid)
+		res, rep, b, err = perf.SamplePar(cs, j.Kernel, j.Sample, o, r.windowMemo())
 		sp.End()
-		return res
-	}
-	res := Result{Job: j}
-	switch j.Core {
-	case Boom:
-		acq := tr.Begin("acquire-core", "pool", tid)
-		pool := boomCores.get(fmt.Sprintf("%+v", j.Boom))
-		c, _ := pool.Get().(*boom.Core)
-		fresh := c == nil
-		if fresh {
-			prog, err := j.Kernel.Program()
-			if err != nil {
-				res.Err = err
-				return res
-			}
-			if c, err = boom.New(j.Boom, prog); err != nil {
-				res.Err = err
-				return res
-			}
-			r.m.coreBuilds.Inc()
-		} else {
-			r.m.coreReuses.Inc()
-		}
-		if tr != nil {
-			acq.End(obs.Arg{Key: "fresh", Val: fresh})
-		}
-		c.SetTelemetry(r.m.boom)
-		if j.Sample.Enabled() && j.SamplePar > 0 {
-			// Two-phase engine: the window workers each need their own
-			// core, so pull SamplePar-1 more from the same pool.
-			cs := []*boom.Core{c}
-			for len(cs) < j.SamplePar {
-				w, _ := pool.Get().(*boom.Core)
-				if w == nil {
-					prog, err := j.Kernel.Program()
-					if err == nil {
-						w, err = boom.New(j.Boom, prog)
-					}
-					if err != nil {
-						res.Err = err
-						break
-					}
-					r.m.coreBuilds.Inc()
-				} else {
-					r.m.coreReuses.Inc()
-				}
-				w.SetTelemetry(r.m.boom)
-				cs = append(cs, w)
-			}
-			if res.Err == nil {
-				sp := tr.Begin("simulate-sampled-par", "sim", tid)
-				res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoomParOn(
-					cs, j.Kernel, j.Sample,
-					sample.Options{Telemetry: r.m.sample, Tracer: tr, Tid: tid},
-					r.windowMemo())
-				sp.End()
-			}
-			for _, w := range cs[1:] {
-				pool.Put(w)
-			}
-		} else if j.Sample.Enabled() {
-			sp := tr.Begin("simulate-sampled", "sim", tid)
-			res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoomOn(
-				c, j.Kernel, j.Sample,
-				sample.Options{Telemetry: r.m.sample, Tracer: tr, Tid: tid})
-			sp.End()
-		} else {
-			sp := tr.Begin("simulate", "sim", tid)
-			err := perf.SimulateBoomOn(c, j.Kernel)
-			sp.End()
-			if err != nil {
-				res.Err = err
-			} else {
-				tp := tr.Begin("tally", "sim", tid)
-				res.Boom, res.Breakdown, res.Err = perf.TallyBoom(c)
-				tp.End()
-			}
-		}
-		pool.Put(c)
+	case j.Sample.Enabled():
+		sp := tr.Begin("simulate-sampled", "sim", tid)
+		res, rep, b, err = perf.Sample(cs[0], j.Kernel, j.Sample, o)
+		sp.End()
 	default:
-		acq := tr.Begin("acquire-core", "pool", tid)
-		pool := rocketCores.get(fmt.Sprintf("%+v", j.Rocket))
-		c, _ := pool.Get().(*rocket.Core)
-		fresh := c == nil
-		if fresh {
-			prog, err := j.Kernel.Program()
-			if err != nil {
-				res.Err = err
-				return res
-			}
-			c = rocket.New(j.Rocket, prog)
-			r.m.coreBuilds.Inc()
-		} else {
-			r.m.coreReuses.Inc()
+		sp := tr.Begin("simulate", "sim", tid)
+		err = perf.Simulate(cs[0], j.Kernel)
+		sp.End()
+		if err == nil {
+			tp := tr.Begin("tally", "sim", tid)
+			res, b, err = perf.Tally(cs[0])
+			tp.End()
 		}
-		if tr != nil {
-			acq.End(obs.Arg{Key: "fresh", Val: fresh})
-		}
-		c.SetTelemetry(r.m.rocket)
-		if j.Sample.Enabled() && j.SamplePar > 0 {
-			cs := []*rocket.Core{c}
-			for len(cs) < j.SamplePar {
-				w, _ := pool.Get().(*rocket.Core)
-				if w == nil {
-					prog, err := j.Kernel.Program()
-					if err != nil {
-						res.Err = err
-						break
-					}
-					w = rocket.New(j.Rocket, prog)
-					r.m.coreBuilds.Inc()
-				} else {
-					r.m.coreReuses.Inc()
-				}
-				w.SetTelemetry(r.m.rocket)
-				cs = append(cs, w)
-			}
-			if res.Err == nil {
-				sp := tr.Begin("simulate-sampled-par", "sim", tid)
-				res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocketParOn(
-					cs, j.Kernel, j.Sample,
-					sample.Options{Telemetry: r.m.sample, Tracer: tr, Tid: tid},
-					r.windowMemo())
-				sp.End()
-			}
-			for _, w := range cs[1:] {
-				pool.Put(w)
-			}
-		} else if j.Sample.Enabled() {
-			sp := tr.Begin("simulate-sampled", "sim", tid)
-			res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocketOn(
-				c, j.Kernel, j.Sample,
-				sample.Options{Telemetry: r.m.sample, Tracer: tr, Tid: tid})
-			sp.End()
-		} else {
-			sp := tr.Begin("simulate", "sim", tid)
-			err := perf.SimulateRocketOn(c, j.Kernel)
-			sp.End()
-			if err != nil {
-				res.Err = err
-			} else {
-				tp := tr.Begin("tally", "sim", tid)
-				res.Rocket, res.Breakdown, res.Err = perf.TallyRocket(c)
-				tp.End()
-			}
-		}
-		pool.Put(c)
 	}
-	return res
+	return res, rep, b, err
 }

@@ -7,9 +7,12 @@
 // Two entry points:
 //
 //   - Runner.Run executes batches of Job descriptors (a core kind, its
-//     config, and a kernel) through perf.RunRocket / perf.RunBoom, returning
-//     results in submission order regardless of completion order, with a
-//     config-fingerprint + kernel-name memoization cache on top.
+//     config, a kernel, and a detail mode) on pooled cores through the
+//     one detailed-core contract, perf.Core: full detail via
+//     perf.Simulate/perf.Tally, sampled via perf.Sample or perf.SamplePar.
+//     Results come back in submission order regardless of completion
+//     order, with a config-fingerprint + kernel-name memoization cache on
+//     top.
 //   - Map fans an arbitrary per-item function out over the same worker
 //     discipline, for sweeps that need a custom harness (cycle hooks,
 //     forced PMU widths) and therefore cannot be memoized.
@@ -21,7 +24,6 @@ import (
 	"icicle/internal/boom"
 	"icicle/internal/core"
 	"icicle/internal/kernel"
-	"icicle/internal/perf"
 	"icicle/internal/rocket"
 	"icicle/internal/sample"
 )
@@ -184,24 +186,4 @@ func (r Result) Tally(event string) uint64 {
 		return r.Boom.Tally[event]
 	}
 	return r.Rocket.Tally[event]
-}
-
-// execute runs the simulation described by j (no caching, no pooling).
-func execute(j Job) Result {
-	res := Result{Job: j}
-	switch {
-	case j.Core == Boom && j.Sample.Enabled() && j.SamplePar > 0:
-		res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoomPar(j.Boom, j.Kernel, j.Sample, sample.Options{}, j.SamplePar)
-	case j.Core == Boom && j.Sample.Enabled():
-		res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoom(j.Boom, j.Kernel, j.Sample)
-	case j.Core == Boom:
-		res.Boom, res.Breakdown, res.Err = perf.RunBoom(j.Boom, j.Kernel)
-	case j.Sample.Enabled() && j.SamplePar > 0:
-		res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocketPar(j.Rocket, j.Kernel, j.Sample, sample.Options{}, j.SamplePar)
-	case j.Sample.Enabled():
-		res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocket(j.Rocket, j.Kernel, j.Sample)
-	default:
-		res.Rocket, res.Breakdown, res.Err = perf.RunRocket(j.Rocket, j.Kernel)
-	}
-	return res
 }

@@ -55,9 +55,17 @@ func TestSampleParGoldenEquivalence(t *testing.T) {
 				t.Helper()
 				var rep *sample.Report
 				if row.core == "rocket" {
-					_, rep, _, err = perf.SampleRocketPar(rocket.DefaultConfig(), k, row.policy, sample.Options{}, w)
+					cs := make([]*rocket.Core, w)
+					for i := range cs {
+						cs[i] = rocket.New(rocket.DefaultConfig(), k.MustProgram())
+					}
+					_, rep, _, err = perf.SamplePar(cs, k, row.policy, sample.Options{}, nil)
 				} else {
-					_, rep, _, err = perf.SampleBoomPar(boom.NewConfig(row.boom), k, row.policy, sample.Options{}, w)
+					cs := make([]*boom.Core, w)
+					for i := range cs {
+						cs[i] = boom.MustNew(boom.NewConfig(row.boom), k.MustProgram())
+					}
+					_, rep, _, err = perf.SamplePar(cs, k, row.policy, sample.Options{}, nil)
 				}
 				if err != nil {
 					t.Fatalf("%d workers: %v", w, err)
@@ -96,7 +104,6 @@ func TestSampleParGoldenEquivalence(t *testing.T) {
 // predictor entry, leftover memory frame) shows up as a diverging tally.
 func TestSampleParInterleavedCores(t *testing.T) {
 	p := sample.Default()
-	o := sample.Options{Counts: perf.RocketCountsFn()}
 	type prep struct {
 		prog *kernel.Kernel
 		plan *sample.Plan
@@ -114,9 +121,8 @@ func TestSampleParInterleavedCores(t *testing.T) {
 		preps = append(preps, prep{prog: k, plan: plan})
 	}
 
-	target := func(c *rocket.Core) sample.Target {
-		return sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred, Mem: c.Memory()}
-	}
+	shared := rocket.New(rocket.DefaultConfig(), mustProgram(t, preps[0].prog))
+	o := sample.Options{Counts: shared.Counts}
 
 	// Reference: each program's windows on its own dedicated core, in
 	// order, through one Exec.
@@ -127,7 +133,7 @@ func TestSampleParInterleavedCores(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := rocket.New(rocket.DefaultConfig(), prog)
-		ex, err := sample.NewExec(pr.plan, target(c), p.Window)
+		ex, err := sample.NewExec(pr.plan, c.Target(), p.Window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +149,6 @@ func TestSampleParInterleavedCores(t *testing.T) {
 	// Interleaved: one shared core ping-pongs between the programs,
 	// resetting and rebuilding its Exec on every hop exactly like the
 	// sim pool does when a core is handed to a different job.
-	shared := rocket.New(rocket.DefaultConfig(), mustProgram(t, preps[0].prog))
 	maxW := len(want[0])
 	if len(want[1]) > maxW {
 		maxW = len(want[1])
@@ -154,7 +159,7 @@ func TestSampleParInterleavedCores(t *testing.T) {
 				continue
 			}
 			shared.Reset(mustProgram(t, pr.prog))
-			ex, err := sample.NewExec(pr.plan, target(shared), p.Window)
+			ex, err := sample.NewExec(pr.plan, shared.Target(), p.Window)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -94,18 +94,18 @@ func TestSampleSmoke(t *testing.T) {
 	p := sample.Default()
 
 	// Rocket: invariants, determinism, and loose full-detail agreement.
-	_, rep, sb, err := perf.SampleRocket(rocket.DefaultConfig(), k, p)
+	_, rep, sb, err := perf.Sample(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatalf("rocket sampled: %v", err)
 	}
 	checkSampleReport(t, "rocket", rep)
-	_, rep2, _, err := perf.SampleRocket(rocket.DefaultConfig(), k, p)
+	_, rep2, _, err := perf.Sample(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatalf("rocket sampled rerun: %v", err)
 	}
 	sameSampleReport(t, "rocket", rep, rep2)
 
-	full, fb, err := perf.RunRocket(rocket.DefaultConfig(), k)
+	full, fb, err := perf.Run(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k)
 	if err != nil {
 		t.Fatalf("rocket full: %v", err)
 	}
@@ -130,12 +130,12 @@ func TestSampleSmoke(t *testing.T) {
 
 	// BOOM: invariants and determinism on the out-of-order model.
 	cfg := boom.NewConfig(boom.Large)
-	_, brep, _, err := perf.SampleBoom(cfg, k, p)
+	_, brep, _, err := perf.Sample(boom.MustNew(cfg, k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatalf("boom sampled: %v", err)
 	}
 	checkSampleReport(t, cfg.Name, brep)
-	_, brep2, _, err := perf.SampleBoom(cfg, k, p)
+	_, brep2, _, err := perf.Sample(boom.MustNew(cfg, k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatalf("boom sampled rerun: %v", err)
 	}

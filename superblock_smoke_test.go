@@ -82,12 +82,12 @@ func TestSuperblockSmokeSampledIdentical(t *testing.T) {
 	p := sample.Default()
 
 	isa.DefaultSuperblocks = true
-	resOn, repOn, bOn, err := perf.SampleRocket(rocket.DefaultConfig(), k, p)
+	resOn, repOn, bOn, err := perf.Sample(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	isa.DefaultSuperblocks = false
-	resOff, repOff, bOff, err := perf.SampleRocket(rocket.DefaultConfig(), k, p)
+	resOff, repOff, bOff, err := perf.Sample(rocket.New(rocket.DefaultConfig(), k.MustProgram()), k, p, sample.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
