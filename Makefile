@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-smoke bench-diff alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke check fuzz-smoke fmt vet scratch-guard ci
+.PHONY: all build test race bench bench-smoke bench-diff bench-golden alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke check fuzz-smoke fmt vet scratch-guard ci
 
 all: build
 
@@ -30,6 +30,16 @@ bench-smoke:
 # different things across PRs, so a disjoint pair is informational.
 bench-diff:
 	$(GO) run ./cmd/icicle-benchdiff -dir . -tol 0.10
+
+# Benchmark correctness: one short run of each repository-benchmark
+# workload (perfbench/run.sh builds it from this checkout). Every run
+# checks each job's result digest, memo key, and HTTP response against
+# the checked-in perfbench/golden/ data and exits non-zero on any
+# mismatch, so a change that alters results or keys fails here.
+bench-golden:
+	for w in paper-suite sampled-sweep serve-mix; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 || exit 1; \
+	done
 
 # Allocation-regression smoke: fails if a warmed core's Reset+RunCycles
 # exceeds the checked-in allocs-per-run budget (see alloc_test.go),
@@ -125,5 +135,5 @@ scratch-guard:
 		echo "scratch files tracked in git:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt vet scratch-guard build race bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke check fuzz-smoke
+ci: fmt vet scratch-guard build race bench-smoke bench-golden alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke check fuzz-smoke
 	-$(MAKE) bench-diff

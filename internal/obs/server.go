@@ -49,6 +49,26 @@ type Server struct {
 	ln       net.Listener
 }
 
+// Slow-client limits for the long-lived HTTP listeners (this server and
+// icicle-serve's): a client gets ReadHeaderTimeout to send its request
+// headers, after which a connection that never does is closed, and an
+// idle keep-alive connection is closed after IdleTimeout. Without them a
+// client that opens connections and sends nothing holds a goroutine and
+// a descriptor each, forever.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// readHeaderTimeout is ReadHeaderTimeout; tests shorten it.
+var readHeaderTimeout = ReadHeaderTimeout
+
+// NewHTTPServer returns an http.Server for h with the slow-client limits
+// set.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // NewServer builds a server over reg. progress may be nil (the /progress
 // endpoint then reports zeros).
 func NewServer(reg *Registry, progress func() Progress) *Server {
@@ -112,7 +132,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = NewHTTPServer(s.Handler())
 	go s.srv.Serve(ln)
 	return ln.Addr().String(), nil
 }

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The introspection endpoints must stay consistent while the registry is
@@ -138,5 +140,36 @@ func TestServerNilProgressSource(t *testing.T) {
 	}
 	if p.Done != 0 || p.Total != 0 {
 		t.Fatalf("nil source progress = %+v, want zeros", p)
+	}
+}
+
+// A connection that opens and never sends a request header is closed
+// once the read-header timeout passes, instead of holding a goroutine
+// and a descriptor open forever.
+func TestServerClosesSilentConnection(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	srv := NewServer(NewRegistry(), nil)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.srv.IdleTimeout != IdleTimeout {
+		t.Errorf("IdleTimeout = %v, want %v", srv.srv.IdleTimeout, IdleTimeout)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The guard deadline is far above the shortened timeout: hitting it
+	// means the server kept the silent connection open.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("silent connection still open after %v", time.Since(start))
 	}
 }

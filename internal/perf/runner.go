@@ -4,7 +4,6 @@ import (
 	"icicle/internal/asm"
 	"icicle/internal/core"
 	"icicle/internal/kernel"
-	"icicle/internal/mem"
 	"icicle/internal/obs"
 	"icicle/internal/pmu"
 	"icicle/internal/sample"
@@ -25,7 +24,6 @@ type Core[R any] interface {
 	// RunCycles simulates until the workload halts and the pipeline
 	// drains.
 	RunCycles() error
-	Memory() *mem.Sparse
 	SetTelemetry(t *obs.CoreTelemetry)
 	SetStallSkip(on bool)
 	// SetCycleHook installs a per-cycle observer (the trace bridge); a
@@ -36,8 +34,6 @@ type Core[R any] interface {
 
 	// Name labels the core in reports ("rocket", "LargeBOOM", ...).
 	Name() string
-	// Fingerprint renders the core kind and its whole configuration.
-	Fingerprint() string
 	// EventSpace indexes the dense tally.
 	EventSpace() *pmu.Space
 	// TMAConfig carries the core's TMA widths.

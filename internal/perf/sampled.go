@@ -52,7 +52,8 @@ func Sample[R any](c Core[R], k *kernel.Kernel, p sample.Policy, o sample.Option
 // the plan's detailed windows over the given worker cores (all built
 // with the same config; each is Reset first). One core is the serial
 // reference — the report is bit-identical for any worker count. memo,
-// when non-nil, caches per-window results across runs. The returned
+// when non-nil, caches per-window results across runs; it must be scoped
+// to the cores' configuration and the kernel. The returned
 // result carries extrapolated totals like Sample's, except its cache
 // statistics stay zero: per-window hierarchy resets make cumulative
 // cache counters meaningless here.
@@ -75,11 +76,7 @@ func SamplePar[C Core[R], R any](cs []C, k *kernel.Kernel, p sample.Policy, o sa
 		c.Reset(prog)
 		targets[i] = c.Target()
 	}
-	rep, err := sample.RunPlan(plan, p, o, sample.Par{
-		Targets:    targets,
-		Memo:       memo,
-		MemoPrefix: cs[0].Fingerprint() + "|" + k.Name,
-	})
+	rep, err := sample.RunPlan(plan, p, o, sample.Par{Targets: targets, Memo: memo})
 	if err != nil {
 		return zero, nil, core.Breakdown{}, err
 	}

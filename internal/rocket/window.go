@@ -122,10 +122,6 @@ func (c *Core) Target() sample.Target {
 	return sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred, Mem: c.memory}
 }
 
-// Fingerprint renders the core kind and every config field: the prefix
-// of the sampled engine's window-memo keys.
-func (c *Core) Fingerprint() string { return fmt.Sprintf("rocket|%+v", c.Cfg) }
-
 // Estimate assembles a Result from a sampled run's report: extrapolated
 // cycle and event totals, exact instruction count and exit code.
 // withCaches adds the hierarchy's cumulative cache statistics, which are

@@ -20,12 +20,13 @@ type WindowResult struct {
 	Tally  []uint64
 }
 
-// WindowMemo caches window results across runs. Keys fully identify the
-// window's inputs (config, program, start instruction, warm span, cycle
-// and instruction bounds), so overlapping policies — e.g. a re-run with
-// a different Period whose boundaries partially coincide — reuse
-// completed windows instead of recomputing them. Implementations must be
-// safe for concurrent use.
+// WindowMemo caches window results across runs. A memo is scoped to one
+// core configuration and program; within it, keys identify the window's
+// remaining inputs (start instruction, warm span, cycle and instruction
+// bounds), so overlapping policies — e.g. a re-run with a different
+// Period whose boundaries partially coincide — reuse completed windows
+// instead of recomputing them. Implementations must be safe for
+// concurrent use.
 type WindowMemo interface {
 	Get(key string) (WindowResult, bool)
 	Put(key string, wr WindowResult)
@@ -36,11 +37,9 @@ type WindowMemo interface {
 // optional cross-run window memo.
 type Par struct {
 	Targets []Target
-	// Memo, when non-nil, caches window results under MemoPrefix-derived
-	// keys. MemoPrefix must fingerprint everything the keys don't: the
-	// core configuration and the program identity.
-	Memo       WindowMemo
-	MemoPrefix string
+	// Memo, when non-nil, caches window results; it must be scoped to the
+	// targets' core configuration and the plan's program.
+	Memo WindowMemo
 }
 
 // Exec replays a plan's windows on a single target, in ascending index
@@ -172,7 +171,7 @@ func RunPlan(plan *Plan, p Policy, o Options, par Par) (*Report, error) {
 
 	windowKey := func(i int) string {
 		s := &plan.Specs[i]
-		return fmt.Sprintf("%s|w%d|s%d|k%d|b%d", par.MemoPrefix, p.Window, s.StartInst, s.WarmInsts, s.MaxInsts)
+		return fmt.Sprintf("w%d|s%d|k%d|b%d", p.Window, s.StartInst, s.WarmInsts, s.MaxInsts)
 	}
 
 	if o.Telemetry != nil {

@@ -713,7 +713,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.listener = ln
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	s.httpSrv = obs.NewHTTPServer(s.Handler())
 	go s.httpSrv.Serve(ln)
 	return ln.Addr().String(), nil
 }

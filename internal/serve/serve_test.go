@@ -536,6 +536,23 @@ func TestServeCloseRefusesNewWork(t *testing.T) {
 	}
 }
 
+// Start's listener carries the slow-client limits: a connection that
+// never sends its headers, or idles between keep-alive requests, is
+// closed (obs.TestServerClosesSilentConnection drives the behaviour).
+func TestServeStartSetsSlowClientTimeouts(t *testing.T) {
+	srv := mustNew(t, Config{QueueWorkers: 1})
+	defer srv.Close()
+	if _, err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.httpSrv.ReadHeaderTimeout; got != obs.ReadHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, obs.ReadHeaderTimeout)
+	}
+	if got := srv.httpSrv.IdleTimeout; got != obs.IdleTimeout {
+		t.Errorf("IdleTimeout = %v, want %v", got, obs.IdleTimeout)
+	}
+}
+
 // Sharding is rejected at construction when the node cannot recognise
 // itself on the ring: it would forward 100% of jobs — its own included —
 // and serve them only through the per-job fallback path.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -44,5 +45,50 @@ func TestKeyGolden(t *testing.T) {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("line %d drifted\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
 		}
+	}
+}
+
+// keyRecorder is a ResultStore that records every key written to it.
+type keyRecorder struct{ keys []string }
+
+func (kr *keyRecorder) Get(string) ([]byte, bool) { return nil, false }
+
+func (kr *keyRecorder) Put(key string, _ []byte) error {
+	kr.keys = append(kr.keys, key)
+	return nil
+}
+
+// TestWindowKeyGolden pins the exact persistent-store keys of the plan
+// engine's window results for a Rocket and a LargeBOOM job: like job
+// blobs, checkpointed windows in a store are orphaned by a silent change
+// in key shape.
+func TestWindowKeyGolden(t *testing.T) {
+	resetSharedWindows()
+	defer resetSharedWindows()
+	k := mustKernel(t, "vvadd")
+	p := sample.Policy{Window: 512, Period: 65536, Warmup: 512}
+	rec := &keyRecorder{}
+	r := New(WithResultStore(rec), WithWorkers(1))
+	for _, j := range []Job{
+		RocketJob(rocket.DefaultConfig(), k).WithParallelSampling(p, 2),
+		BoomJob(boom.NewConfig(boom.Large), k).WithParallelSampling(p, 2),
+	} {
+		if res := r.RunOne(j); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	var got []string
+	for _, key := range rec.keys {
+		if strings.HasPrefix(key, windowKeyPrefix) {
+			got = append(got, key)
+		}
+	}
+	sort.Strings(got)
+	want, err := os.ReadFile("testdata/window_keys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+		t.Errorf("window keys drifted\n got:\n%s\nwant:\n%s", g, want)
 	}
 }

@@ -122,7 +122,7 @@ func runDetailed[R any](r *Runner, j Job, tid int, tel *obs.CoreTelemetry,
 	switch {
 	case plan:
 		sp := tr.Begin("simulate-sampled-par", "sim", tid)
-		res, rep, b, err = perf.SamplePar(cs, j.Kernel, j.Sample, o, r.windowMemo())
+		res, rep, b, err = perf.SamplePar(cs, j.Kernel, j.Sample, o, r.windowMemo(j))
 		sp.End()
 	case j.Sample.Enabled():
 		sp := tr.Begin("simulate-sampled", "sim", tid)

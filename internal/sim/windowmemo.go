@@ -57,9 +57,14 @@ type countingWindowMemo struct {
 	store        *windowStore
 	disk         ResultStore // optional persistent L2 (nil = memory only)
 	hits, misses *obs.Counter
+	// scope prefixes every key with the job's config fingerprint and
+	// kernel name: a window key alone only names the window's position
+	// and bounds within one (config, program).
+	scope string
 }
 
 func (cm countingWindowMemo) Get(key string) (sample.WindowResult, bool) {
+	key = cm.scope + key
 	wr, ok := cm.store.Get(key)
 	if !ok && cm.disk != nil {
 		if payload, found := cm.disk.Get(windowKeyPrefix + key); found {
@@ -78,6 +83,7 @@ func (cm countingWindowMemo) Get(key string) (sample.WindowResult, bool) {
 }
 
 func (cm countingWindowMemo) Put(key string, wr sample.WindowResult) {
+	key = cm.scope + key
 	cm.store.Put(key, wr)
 	if cm.disk != nil {
 		if payload, err := encodeWindow(wr); err == nil {
@@ -86,10 +92,11 @@ func (cm countingWindowMemo) Put(key string, wr sample.WindowResult) {
 	}
 }
 
-// windowMemo returns the runner's view of the shared memo, or nil when
-// memoization is off (WithoutCache also disables window reuse, so
-// benchmark ablations measure true window throughput).
-func (r *Runner) windowMemo() sample.WindowMemo {
+// windowMemo returns the runner's view of the shared memo, scoped to the
+// job's configuration and kernel, or nil when memoization is off
+// (WithoutCache also disables window reuse, so benchmark ablations
+// measure true window throughput).
+func (r *Runner) windowMemo(j Job) sample.WindowMemo {
 	if !r.memoize {
 		return nil
 	}
@@ -98,5 +105,6 @@ func (r *Runner) windowMemo() sample.WindowMemo {
 		disk:   r.store,
 		hits:   r.m.windowHits,
 		misses: r.m.windowMisses,
+		scope:  j.ConfigFingerprint() + "|" + j.Kernel.Name + "|",
 	}
 }
