@@ -181,19 +181,16 @@ type traceCapture struct {
 	events []string
 	buf    bytes.Buffer
 	w      *trace.Writer
-	pmu    isa.CSRFile
+	csr    isa.CSRFile // the core CPU's CSR port onto its PMU
 }
 
-func attachTrace(space *pmu.Space, dev isa.CSRFile, setHook func(pmu.CycleHook)) (*traceCapture, error) {
-	events := make([]string, len(space.Events))
-	for i, e := range space.Events {
-		events[i] = e.Name
-	}
+func attachTrace(space *pmu.Space, csr isa.CSRFile, setHook func(pmu.CycleHook)) (*traceCapture, error) {
+	events := space.Names()
 	bundle, err := trace.NewBundle(space, events...)
 	if err != nil {
 		return nil, fmt.Errorf("check: trace bundle: %w", err)
 	}
-	tc := &traceCapture{events: events, pmu: dev}
+	tc := &traceCapture{events: events, csr: csr}
 	tc.w, err = trace.NewWriter(&tc.buf, bundle)
 	if err != nil {
 		return nil, fmt.Errorf("check: trace writer: %w", err)
@@ -208,10 +205,10 @@ func attachTrace(space *pmu.Space, dev isa.CSRFile, setHook func(pmu.CycleHook))
 		}
 		e := space.Events[idx]
 		sel := pmu.Selector{Set: e.Set, Mask: 1 << uint(e.Bit)}
-		dev.WriteCSR(pmu.CSRMHPMEvent3+uint16(i), sel.Encode())
-		dev.WriteCSR(pmu.CSRMHPMCounter3+uint16(i), 0)
+		csr.WriteCSR(pmu.CSRMHPMEvent3+uint16(i), sel.Encode())
+		csr.WriteCSR(pmu.CSRMHPMCounter3+uint16(i), 0)
 	}
-	dev.WriteCSR(pmu.CSRMCountInhibit, 0)
+	csr.WriteCSR(pmu.CSRMCountInhibit, 0)
 	setHook(tc.w.WriteCycle)
 	return tc, nil
 }
@@ -234,7 +231,7 @@ func (t *traceCapture) finish(out *Outcome) error {
 	out.TraceTotals = an.Totals()
 	out.PMUReads = make(map[string]uint64, len(t.events))
 	for i, ev := range t.events {
-		out.PMUReads[ev] = t.pmu.ReadCSR(pmu.CSRMHPMCounter3 + uint16(i))
+		out.PMUReads[ev] = t.csr.ReadCSR(pmu.CSRMHPMCounter3 + uint16(i))
 	}
 	return nil
 }

@@ -21,11 +21,7 @@ func sampleOptions[R any](c Core[R], o sample.Options) sample.Options {
 		o.TMA = c.TMAConfig()
 	}
 	if o.EventNames == nil {
-		events := c.EventSpace().Events
-		o.EventNames = make([]string, len(events))
-		for i, e := range events {
-			o.EventNames[i] = e.Name
-		}
+		o.EventNames = c.EventSpace().Names()
 	}
 	return o
 }

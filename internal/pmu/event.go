@@ -89,6 +89,15 @@ func (s *Space) MustIndex(name string) int {
 	return i
 }
 
+// Names returns the event names, parallel to Events.
+func (s *Space) Names() []string {
+	out := make([]string, len(s.Events))
+	for i, e := range s.Events {
+		out[i] = e.Name
+	}
+	return out
+}
+
 // SourceCounts returns the per-event lane counts, parallel to Events.
 // It is the shape stats.Tally is built from.
 func (s *Space) SourceCounts() []int {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"icicle/internal/boom"
@@ -48,13 +49,19 @@ func TestKeyGolden(t *testing.T) {
 	}
 }
 
-// keyRecorder is a ResultStore that records every key written to it.
-type keyRecorder struct{ keys []string }
+// keyRecorder is a ResultStore that records every key written to it
+// (window workers write concurrently).
+type keyRecorder struct {
+	mu   sync.Mutex
+	keys []string
+}
 
 func (kr *keyRecorder) Get(string) ([]byte, bool) { return nil, false }
 
 func (kr *keyRecorder) Put(key string, _ []byte) error {
+	kr.mu.Lock()
 	kr.keys = append(kr.keys, key)
+	kr.mu.Unlock()
 	return nil
 }
 
