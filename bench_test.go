@@ -800,7 +800,7 @@ func BenchmarkSampledParallel(b *testing.B) {
 			func() (*sample.Exec, error) {
 				c := rcs[0]
 				c.Reset(prog)
-				return sample.NewExec(plan, sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred, Mem: c.Memory()}, p.Window)
+				return sample.NewExec(plan, c.Target(), p.Window)
 			},
 			len(plan.Specs)},
 		{"LargeBOOM",
@@ -815,7 +815,7 @@ func BenchmarkSampledParallel(b *testing.B) {
 			func() (*sample.Exec, error) {
 				c := bcs[0]
 				c.Reset(prog)
-				return sample.NewExec(plan, sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred, Mem: c.Memory()}, p.Window)
+				return sample.NewExec(plan, c.Target(), p.Window)
 			},
 			len(plan.Specs)},
 	}

@@ -12,10 +12,6 @@ import (
 	"icicle/internal/stats"
 )
 
-// CycleHook observes every simulated cycle (used by the trace bridge);
-// both cores share pmu.CycleHook.
-type CycleHook = pmu.CycleHook
-
 type queueKind uint8
 
 const (
@@ -78,7 +74,7 @@ type Core struct {
 	// tally accumulates per-event totals and per-lane totals (the dense
 	// form of Result.Tally/LaneTally), bulk-advanced by the skip path.
 	tally *stats.Tally
-	hook  CycleHook
+	hook  pmu.CycleHook
 	ids   eventIDs
 
 	cycle uint64
@@ -255,7 +251,7 @@ func (c *Core) Reset(prog *asm.Program) {
 }
 
 // SetCycleHook installs a per-cycle observer.
-func (c *Core) SetCycleHook(h CycleHook) { c.hook = h }
+func (c *Core) SetCycleHook(h pmu.CycleHook) { c.hook = h }
 
 // SetTelemetry installs the host-side throughput handle (nil disables).
 // Unlike the cycle hook it survives Reset, so the sim core pool installs

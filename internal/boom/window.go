@@ -5,7 +5,6 @@ import (
 
 	"icicle/internal/branch"
 	"icicle/internal/isa"
-	"icicle/internal/mem"
 	"icicle/internal/sample"
 )
 
@@ -155,11 +154,6 @@ func (c *Core) Estimate(rep *sample.Report, withCaches bool) Result {
 	}
 	return res
 }
-
-// Memory returns the core's backing sparse memory (the image its CPU and
-// caches address). The two-phase sampled engine applies producer frame
-// deltas to it between windows.
-func (c *Core) Memory() *mem.Sparse { return c.memory }
 
 // Done reports whether the workload has halted and the pipeline drained.
 func (c *Core) Done() bool { return c.done }

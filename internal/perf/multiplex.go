@@ -116,7 +116,7 @@ func (m *Multiplexer) harvest(elapsed uint64) {
 
 // Tick is the per-cycle hook: it rotates the window on quantum
 // boundaries. The sample argument is unused (it exists to match the
-// cores' CycleHook signature).
+// pmu.CycleHook signature).
 func (m *Multiplexer) Tick(cycle uint64, _ pmu.Sample) {
 	m.cycles = cycle + 1
 	if m.slots == len(m.groups) {

@@ -12,10 +12,6 @@ import (
 	"icicle/internal/stats"
 )
 
-// CycleHook observes every simulated cycle (used by the trace bridge);
-// both cores share pmu.CycleHook.
-type CycleHook = pmu.CycleHook
-
 // producer kinds drive interlock-event attribution.
 type producerKind uint8
 
@@ -46,7 +42,7 @@ type Core struct {
 
 	sample pmu.Sample
 	tally  *stats.Tally // exact per-event totals (source assertions)
-	hook   CycleHook
+	hook   pmu.CycleHook
 
 	// Event-driven skip state (see skip.go): noSkip disables the
 	// quiescent-stretch fast path (engine choice, never part of the memo
@@ -178,7 +174,7 @@ func (c *Core) Reset(prog *asm.Program) {
 }
 
 // SetCycleHook installs a per-cycle observer (the trace bridge).
-func (c *Core) SetCycleHook(h CycleHook) { c.hook = h }
+func (c *Core) SetCycleHook(h pmu.CycleHook) { c.hook = h }
 
 // SetTelemetry installs the host-side throughput handle (nil disables).
 // Unlike the cycle hook it survives Reset, so the sim core pool installs
