@@ -49,10 +49,10 @@ func Sample[R any](c Core[R], k *kernel.Kernel, p sample.Policy, o sample.Option
 // with the same config; each is Reset first). One core is the serial
 // reference — the report is bit-identical for any worker count. memo,
 // when non-nil, caches per-window results across runs; it must be scoped
-// to the cores' configuration and the kernel. The returned
-// result carries extrapolated totals like Sample's, except its cache
-// statistics stay zero: per-window hierarchy resets make cumulative
-// cache counters meaningless here.
+// to the cores' configuration and the kernel. The returned result
+// carries extrapolated totals like Sample's, except its cache statistics
+// stay zero: per-window hierarchy resets make cumulative cache counters
+// meaningless here.
 func SamplePar[C Core[R], R any](cs []C, k *kernel.Kernel, p sample.Policy, o sample.Options, memo sample.WindowMemo) (R, *sample.Report, core.Breakdown, error) {
 	var zero R
 	if len(cs) == 0 {
