@@ -19,10 +19,12 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=CycleLoop -benchmem .
 
-# One iteration of the sweep benchmark: exercises the serial and parallel
-# runner paths end to end without benchmarking-grade runtimes.
+# One iteration of the sweep and cycle-loop benchmarks: exercises the
+# serial and parallel runner paths and both detailed cores' cycle loops
+# (stepped and stall-skipping) end to end without benchmarking-grade
+# runtimes.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=Sweep -benchtime=1x .
+	$(GO) test -run='^$$' -bench='Sweep|CycleLoop|DetailedSkip' -benchtime=1x .
 
 # Benchmark snapshot regression gate: diff the time-per-work metrics the
 # two newest BENCH_<n>.json snapshots share and flag slowdowns beyond 10%

@@ -35,20 +35,25 @@ func newArena(capacity int) arena {
 	}
 }
 
-// alloc returns the index of a cleared slot. The slot's generation
-// survives the clear (recycling must invalidate old urefs), and the
-// producer links start as nilRef rather than the zero uref, which would
-// point at slot 0.
+// alloc returns the index of a slot cleared in place. The slot's
+// generation survives the clear (recycling must invalidate old urefs),
+// and the producer links start as nilRef rather than the zero uref, which
+// would point at slot 0.
 func (a *arena) alloc() int32 {
+	var i int32
+	var g uint32
 	if n := len(a.free); n > 0 {
-		i := a.free[n-1]
+		i = a.free[n-1]
 		a.free = a.free[:n-1]
-		g := a.slab[i].gen
-		a.slab[i] = uop{gen: g, src1: nilRef, src2: nilRef}
-		return i
+		g = a.slab[i].gen
+	} else {
+		a.slab = append(a.slab, uop{})
+		i = int32(len(a.slab) - 1)
 	}
-	a.slab = append(a.slab, uop{src1: nilRef, src2: nilRef})
-	return int32(len(a.slab) - 1)
+	u := &a.slab[i]
+	*u = uop{}
+	u.gen, u.src1, u.src2 = g, nilRef, nilRef
+	return i
 }
 
 // release bumps the slot's generation — invalidating every uref captured

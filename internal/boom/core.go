@@ -22,37 +22,36 @@ const (
 )
 
 // uop is one micro-op in flight: a ROB entry, stored in the core's slab
-// arena and addressed by index (see arena.go).
+// arena and addressed by index (see arena.go). rec is the only copy of
+// the instruction: a poison uop's rec carries just the decoded Inst and
+// PC (poison records are never put back, and every MemAddr read is gated
+// by !poison). The scheduling state the issue scan reads for every
+// queued operand (gen, done, doneAt) sits ahead of rec, in the first
+// cache line of the 128-byte slot.
 type uop struct {
-	seq    uint64
-	gen    uint32      // slot generation, bumped on release
-	rec    isa.Retired // zero for poison uops
-	inst   isa.Inst
-	pc     uint64
-	poison bool // wrong-path: will be flushed, never retires
+	seq      uint64
+	doneAt   uint64
+	issuedAt uint64
+	gen      uint32 // slot generation, bumped on release
 
-	queue      queueKind
 	src1, src2 uref // producers captured at rename (nilRef = ready)
 
-	issued   bool
-	issuedAt uint64
-	done     bool
-	doneAt   uint64
-
+	poison      bool // wrong-path: will be flushed, never retires
+	issued      bool
+	done        bool
 	isMispredBr bool // resolving this branch flushes the pipeline
 	isLoad      bool
 	isStore     bool
 	isFence     bool
 	isFenceI    bool
-	isHalt      bool
-	memAddr     uint64
+
+	rec isa.Retired
 }
 
-// fbEntry is one fetch-buffer slot (pre-decode).
+// fbEntry is one fetch-buffer slot (pre-decode); rec follows the uop
+// layout, so a poison entry's rec holds only Inst and PC.
 type fbEntry struct {
 	rec         isa.Retired
-	inst        isa.Inst
-	pc          uint64
 	poison      bool
 	mispredBr   bool
 	availableAt uint64
@@ -111,10 +110,14 @@ type Core struct {
 	haveFetchBlock bool
 
 	// backend: all uops live in the arena; these hold indices.
-	uops       arena
-	rob        []int32 // ring buffer
-	robHead    int
-	robCount   int
+	uops     arena
+	rob      []int32 // ring buffer
+	robHead  int
+	robCount int
+	// robLoads/robStores count the ROB's load and store uops (atomics in
+	// both, poison included): the LQ/STQ occupancy dispatch checks.
+	robLoads   int
+	robStores  int
 	iq         [numQueues][]int32
 	renameLast [32]int32 // last uop writing each register, nilIdx if none
 	inflight   []int32
@@ -232,6 +235,8 @@ func (c *Core) Reset(prog *asm.Program) {
 	c.uops.reset()
 	c.robHead = 0
 	c.robCount = 0
+	c.robLoads = 0
+	c.robStores = 0
 	for q := range c.iq {
 		c.iq[q] = c.iq[q][:0]
 	}
@@ -308,15 +313,19 @@ func (c *Core) streamEmpty() bool { return len(c.putback) == 0 && c.CPU.Halted }
 
 func (c *Core) fbLen() int { return len(c.fb) - c.fbHead }
 
-// fbPush appends an entry, compacting the consumed head first when the
-// backing array (capacity FBEntries) is full — so pushes never grow it.
-func (c *Core) fbPush(e fbEntry) {
+// fbPush appends a cleared entry and returns it for the caller to fill in
+// place, compacting the consumed head first when the backing array
+// (capacity FBEntries) is full — so pushes never grow it.
+func (c *Core) fbPush() *fbEntry {
 	if len(c.fb) == cap(c.fb) && c.fbHead > 0 {
 		n := copy(c.fb, c.fb[c.fbHead:])
 		c.fb = c.fb[:n]
 		c.fbHead = 0
 	}
-	c.fb = append(c.fb, e)
+	c.fb = c.fb[:len(c.fb)+1]
+	e := &c.fb[len(c.fb)-1]
+	*e = fbEntry{}
+	return e
 }
 
 func (c *Core) fbPop() {
@@ -331,17 +340,39 @@ func (c *Core) fbPop() {
 
 func (c *Core) robFull() bool { return c.robCount == len(c.rob) }
 
-func (c *Core) robPush(ui int32) {
-	c.rob[(c.robHead+c.robCount)%len(c.rob)] = ui
-	c.robCount++
+// robSlot maps ROB position i (0 = head, i < len(rob)) to its ring
+// index, wrapping with a compare instead of a per-access division.
+func (c *Core) robSlot(i int) int {
+	j := c.robHead + i
+	if j >= len(c.rob) {
+		j -= len(c.rob)
+	}
+	return j
 }
 
-func (c *Core) robAt(i int) *uop { return c.uops.at(c.rob[(c.robHead+i)%len(c.rob)]) }
+func (c *Core) robPush(ui int32) {
+	c.rob[c.robSlot(c.robCount)] = ui
+	c.robCount++
+	c.countLSQ(c.uops.at(ui), 1)
+}
+
+// countLSQ adds d to the load/store-queue occupancy counters for u.
+func (c *Core) countLSQ(u *uop, d int) {
+	if u.isLoad {
+		c.robLoads += d
+	}
+	if u.isStore {
+		c.robStores += d
+	}
+}
+
+func (c *Core) robAt(i int) *uop { return c.uops.at(c.rob[c.robSlot(i)]) }
 
 func (c *Core) robPop() int32 {
 	ui := c.rob[c.robHead]
-	c.robHead = (c.robHead + 1) % len(c.rob)
+	c.robHead = c.robSlot(1)
 	c.robCount--
+	c.countLSQ(c.uops.at(ui), -1)
 	return ui
 }
 
@@ -527,7 +558,7 @@ func (c *Core) completeStage() {
 			continue
 		}
 		u.done = true
-		if u.inst.Op.IsBranch() && !u.poison {
+		if u.rec.Inst.Op.IsBranch() && !u.poison {
 			c.assert(c.ids.branchResolved)
 		}
 		if u.isMispredBr && (flushAt == nil || u.seq < flushAt.seq) {
@@ -562,7 +593,7 @@ func (c *Core) forwardableStore(ld *uop) bool {
 	for i := c.robCount - 1; i >= 0; i-- {
 		u := c.robAt(i)
 		if u.isStore && !u.poison && u.seq < ld.seq &&
-			u.done && u.doneAt <= c.cycle && u.memAddr>>3 == ld.memAddr>>3 {
+			u.done && u.doneAt <= c.cycle && u.rec.MemAddr>>3 == ld.rec.MemAddr>>3 {
 			return true
 		}
 	}
@@ -578,7 +609,7 @@ func (c *Core) findOrderingViolation(st *uop) *uop {
 	for i := 0; i < c.robCount; i++ {
 		u := c.robAt(i)
 		if u.isLoad && !u.poison && u.seq > st.seq && u.issued &&
-			u.issuedAt < st.doneAt && u.memAddr>>3 == st.memAddr>>3 {
+			u.issuedAt < st.doneAt && u.rec.MemAddr>>3 == st.rec.MemAddr>>3 {
 			if oldest == nil || u.seq < oldest.seq {
 				oldest = u
 			}
@@ -634,8 +665,9 @@ func (c *Core) flushAfter(bound uint64) {
 		if !u.poison {
 			c.putback = append(c.putback, u.rec)
 		}
+		c.countLSQ(u, -1)
 		c.robCount--
-		c.uops.release(c.rob[(c.robHead+c.robCount)%len(c.rob)])
+		c.uops.release(c.rob[c.robSlot(c.robCount)])
 	}
 
 	// Rebuild the rename table from the surviving ROB entries.
@@ -643,8 +675,8 @@ func (c *Core) flushAfter(bound uint64) {
 		c.renameLast[i] = nilIdx
 	}
 	for i := 0; i < c.robCount; i++ {
-		ui := c.rob[(c.robHead+i)%len(c.rob)]
-		if rd := c.uops.at(ui).inst.DestReg(); rd != isa.X0 {
+		ui := c.rob[c.robSlot(i)]
+		if rd := c.uops.at(ui).rec.Inst.DestReg(); rd != isa.X0 {
 			c.renameLast[rd] = ui
 		}
 	}
@@ -675,8 +707,8 @@ func (c *Core) commitStage() int {
 		c.robPop()
 		c.assertLane(c.ids.uopsRetired, retired)
 		c.assertLane(c.ids.instRet, retired)
-		if c.renameLast[u.inst.DestReg()] == ui {
-			c.renameLast[u.inst.DestReg()] = nilIdx // value now architectural
+		if rd := u.rec.Inst.DestReg(); c.renameLast[rd] == ui {
+			c.renameLast[rd] = nilIdx // value now architectural
 		}
 		switch {
 		case u.isFenceI:
@@ -686,7 +718,7 @@ func (c *Core) commitStage() int {
 			c.flushAfter(u.seq)
 		case u.isFence:
 			c.assert(c.ids.fenceRetired)
-		case u.isHalt:
+		case u.rec.Halt:
 			c.assert(c.ids.exception)
 		}
 		retired++
@@ -707,9 +739,16 @@ func (c *Core) issueStage() {
 
 func (c *Core) issueQueue(q queueKind, ports, laneBase int) int {
 	used := 0
-	kept := c.iq[q][:0]
-	for _, ui := range c.iq[q] {
-		if used >= ports || !c.ready(c.uops.at(ui)) || (q == qLong && c.longBusy > c.cycle) {
+	iq := c.iq[q]
+	kept := iq[:0]
+	for i, ui := range iq {
+		if used == ports || (q == qLong && c.longBusy > c.cycle) {
+			// No port (or the unpipelined divider) is free: the rest stay
+			// queued in order.
+			kept = append(kept, iq[i:]...)
+			break
+		}
+		if !c.ready(c.uops.at(ui)) {
 			kept = append(kept, ui)
 			continue
 		}
@@ -725,20 +764,23 @@ func (c *Core) issueQueue(q queueKind, ports, laneBase int) int {
 // srcPending reports whether a producer captured in r has not yet written
 // back. A generation mismatch means the producer retired (or was
 // squashed) since rename — its value is architectural, so the operand is
-// ready, matching the old committed-*uop pointer semantics.
-func (c *Core) srcPending(r uref) bool {
+// ready, matching the old committed-*uop pointer semantics. A resolved
+// link is cleared to nilRef: a producer only moves toward done, so the
+// operand stays ready and later scans skip the producer's slot.
+func (c *Core) srcPending(r *uref) bool {
 	if r.idx < 0 {
 		return false
 	}
 	u := c.uops.at(r.idx)
-	if u.gen != r.gen {
-		return false
+	if u.gen == r.gen && (!u.done || u.doneAt > c.cycle) {
+		return true
 	}
-	return !u.done || u.doneAt > c.cycle
+	*r = nilRef
+	return false
 }
 
 func (c *Core) ready(u *uop) bool {
-	if c.srcPending(u.src1) || c.srcPending(u.src2) {
+	if c.srcPending(&u.src1) || c.srcPending(&u.src2) {
 		return false
 	}
 	// With store forwarding enabled the LSU also disambiguates: a load
@@ -751,7 +793,7 @@ func (c *Core) ready(u *uop) bool {
 			if st.seq >= u.seq {
 				break
 			}
-			if st.isStore && !st.poison && st.memAddr>>3 == u.memAddr>>3 &&
+			if st.isStore && !st.poison && st.rec.MemAddr>>3 == u.rec.MemAddr>>3 &&
 				(!st.done || st.doneAt > c.cycle) {
 				return false
 			}
@@ -769,21 +811,21 @@ func (c *Core) executeUop(ui int32) {
 		c.inflight = append(c.inflight, ui)
 		return
 	}
-	switch u.inst.Op.Class() {
+	switch u.rec.Inst.Op.Class() {
 	case isa.ClassLoad:
 		if c.Cfg.StoreForwarding && c.forwardableStore(u) {
 			u.doneAt = c.cycle + 1 // bypass from the store queue
 			break
 		}
-		d := c.Hier.AccessD(u.memAddr, false, c.cycle)
+		d := c.Hier.AccessD(u.rec.MemAddr, false, c.cycle)
 		c.noteDAccess(d)
 		u.doneAt = c.cycle + uint64(c.Cfg.LoadLatency) + uint64(d.Latency)
 	case isa.ClassStore:
-		d := c.Hier.AccessD(u.memAddr, true, c.cycle)
+		d := c.Hier.AccessD(u.rec.MemAddr, true, c.cycle)
 		c.noteDAccess(d)
 		u.doneAt = c.cycle + 1
 	case isa.ClassAtomic:
-		d := c.Hier.AccessD(u.memAddr, true, c.cycle)
+		d := c.Hier.AccessD(u.rec.MemAddr, true, c.cycle)
 		c.noteDAccess(d)
 		u.doneAt = c.cycle + uint64(c.Cfg.LoadLatency) + uint64(d.Latency) + 1
 	case isa.ClassMul:
@@ -820,7 +862,7 @@ func (c *Core) dispatchStage() {
 	dispatched := 0
 	backpressured := false
 	for dispatched < c.Cfg.DecodeWidth && c.fbLen() > 0 {
-		e := c.fb[c.fbHead]
+		e := &c.fb[c.fbHead]
 		if e.availableAt > c.cycle {
 			break
 		}
@@ -844,54 +886,28 @@ func (c *Core) dispatchStage() {
 	}
 }
 
-// tryDispatch renames and inserts one µop; false means backpressure.
-func (c *Core) tryDispatch(e fbEntry) bool {
-	if c.robFull() {
+// tryDispatch renames and inserts one µop; false means backpressure
+// (dispatchBlocked, the side-effect-free half the skip proof also uses).
+func (c *Core) tryDispatch(e *fbEntry) bool {
+	cls := e.rec.Inst.Op.Class()
+	if c.dispatchBlocked(cls) {
 		return false
 	}
-	cls := e.inst.Op.Class()
-	var q queueKind
-	switch cls {
-	case isa.ClassLoad, isa.ClassStore, isa.ClassAtomic:
-		q = qMem
-	case isa.ClassMul, isa.ClassDiv:
-		q = qLong
-	default:
-		q = qInt
-	}
-	cap := [numQueues]int{c.Cfg.IQInt, c.Cfg.IQMem, c.Cfg.IQLong}[q]
-	if len(c.iq[q]) >= cap {
-		return false
-	}
-	if cls == isa.ClassLoad && c.countMem(true) >= c.Cfg.LQEntries {
-		return false
-	}
-	if cls == isa.ClassStore && c.countMem(false) >= c.Cfg.STQEntries {
-		return false
-	}
-	isFence := cls == isa.ClassFence
-	if isFence && (c.robCount > 0 || len(c.inflight) > 0) {
-		return false // fences dispatch only into an empty window
-	}
+	q := queueFor(cls)
 
 	c.seq++
 	ui := c.uops.alloc()
 	u := c.uops.at(ui)
 	u.seq = c.seq
 	u.rec = e.rec
-	u.inst = e.inst
-	u.pc = e.pc
 	u.poison = e.poison
-	u.queue = q
 	u.isMispredBr = e.mispredBr
 	u.isLoad = cls == isa.ClassLoad || cls == isa.ClassAtomic
 	u.isStore = cls == isa.ClassStore || cls == isa.ClassAtomic
-	u.isFence = isFence
-	u.isFenceI = e.inst.Op == isa.FENCEI
-	u.isHalt = e.rec.Halt
-	u.memAddr = e.rec.MemAddr
+	u.isFence = cls == isa.ClassFence
+	u.isFenceI = e.rec.Inst.Op == isa.FENCEI
 	if !u.poison {
-		rs1, rs2 := e.inst.SrcRegs()
+		rs1, rs2 := e.rec.Inst.SrcRegs()
 		if rs1 != isa.X0 {
 			u.src1 = c.refTo(c.renameLast[rs1])
 		}
@@ -899,7 +915,7 @@ func (c *Core) tryDispatch(e fbEntry) bool {
 			u.src2 = c.refTo(c.renameLast[rs2])
 		}
 	}
-	if rd := e.inst.DestReg(); rd != isa.X0 {
+	if rd := e.rec.Inst.DestReg(); rd != isa.X0 {
 		c.renameLast[rd] = ui
 	}
 	c.robPush(ui)
@@ -913,17 +929,6 @@ func (c *Core) refTo(idx int32) uref {
 		return nilRef
 	}
 	return uref{idx: idx, gen: c.uops.at(idx).gen}
-}
-
-func (c *Core) countMem(loads bool) int {
-	n := 0
-	for i := 0; i < c.robCount; i++ {
-		u := c.robAt(i)
-		if (loads && u.isLoad) || (!loads && u.isStore) {
-			n++
-		}
-	}
-	return n
 }
 
 // --- fetch ---
@@ -969,12 +974,11 @@ func (c *Core) fetchWrongPath() {
 		if in.Op == isa.ILLEGAL {
 			in = isa.NOP // wrong-path garbage still occupies a slot
 		}
-		c.fbPush(fbEntry{
-			inst:        in,
-			pc:          c.wrongPC,
-			poison:      true,
-			availableAt: c.cycle + 1,
-		})
+		e := c.fbPush()
+		e.rec.Inst = in
+		e.rec.PC = c.wrongPC
+		e.poison = true
+		e.availableAt = c.cycle + 1
 		c.wrongPC += isa.InstBytes
 	}
 }
@@ -1017,7 +1021,9 @@ func (c *Core) fetchRealPath() error {
 				return nil
 			}
 		}
-		e := fbEntry{rec: rec, inst: rec.Inst, pc: rec.PC, availableAt: c.cycle + 1}
+		e := c.fbPush()
+		e.rec = rec
+		e.availableAt = c.cycle + 1
 		redirecting := rec.NextPC != rec.PC+isa.InstBytes
 
 		switch rec.Inst.Op.Class() {
@@ -1026,17 +1032,14 @@ func (c *Core) fetchRealPath() error {
 			c.Pred.UpdateBranch(rec.PC, rec.Taken)
 			if pred != rec.Taken {
 				e.mispredBr = true
-				c.fbPush(e)
 				c.enterWrongPath(rec, pred)
 				return nil
 			}
-			c.fbPush(e)
 			if rec.Taken {
 				c.redirect(rec, c.Cfg.BTBMissPenalty)
 				return nil
 			}
 		case isa.ClassJump:
-			c.fbPush(e)
 			// RAS maintenance: calls push the return address, returns pop
 			// a prediction that beats the BTB.
 			if c.RAS != nil && rec.Inst.Rd == isa.RA {
@@ -1060,7 +1063,6 @@ func (c *Core) fetchRealPath() error {
 				return nil
 			}
 		default:
-			c.fbPush(e)
 			if redirecting {
 				return nil
 			}

@@ -116,14 +116,15 @@ func (c *Core) quiesceTarget() (uint64, bool) {
 	}
 
 	// Dispatch: the fetch-buffer head either isn't available yet (timer)
-	// or must be rejected by every tryDispatch backpressure check —
-	// otherwise it renames this cycle. The rejection conditions only
-	// change at a commit, issue, or flush, all bounded above.
+	// or must be blocked by dispatchBlocked, the backpressure test
+	// tryDispatch itself applies — otherwise it renames this cycle. The
+	// rejection conditions only change at a commit, issue, or flush, all
+	// bounded above.
 	if c.fbLen() > 0 {
 		e := &c.fb[c.fbHead]
 		if e.availableAt > t {
 			add(e.availableAt)
-		} else if !c.dispatchBlocked(e) {
+		} else if !c.dispatchBlocked(e.rec.Inst.Op.Class()) {
 			return 0, false
 		}
 	}
@@ -146,36 +147,36 @@ func (c *Core) quiesceTarget() (uint64, bool) {
 	return bound, true
 }
 
-// dispatchBlocked mirrors tryDispatch's rejection conditions exactly,
-// without side effects: true means the entry cannot rename this cycle.
-// Any drift between the two is caught by the skip-vs-step differentials
-// in internal/check and the detail-smoke suite.
-func (c *Core) dispatchBlocked(e *fbEntry) bool {
+// queueFor maps an instruction class to its issue queue.
+func queueFor(cls isa.Class) queueKind {
+	switch cls {
+	case isa.ClassLoad, isa.ClassStore, isa.ClassAtomic:
+		return qMem
+	case isa.ClassMul, isa.ClassDiv:
+		return qLong
+	}
+	return qInt
+}
+
+// dispatchBlocked reports, without side effects, whether an instruction
+// of class cls cannot rename this cycle: the one backpressure definition,
+// shared by tryDispatch and the skip proof.
+func (c *Core) dispatchBlocked(cls isa.Class) bool {
 	if c.robFull() {
 		return true
 	}
-	cls := e.inst.Op.Class()
-	var q queueKind
-	switch cls {
-	case isa.ClassLoad, isa.ClassStore, isa.ClassAtomic:
-		q = qMem
-	case isa.ClassMul, isa.ClassDiv:
-		q = qLong
-	default:
-		q = qInt
-	}
+	q := queueFor(cls)
 	cap := [numQueues]int{c.Cfg.IQInt, c.Cfg.IQMem, c.Cfg.IQLong}[q]
-	if len(c.iq[q]) >= cap {
+	switch {
+	case len(c.iq[q]) >= cap:
 		return true
-	}
-	if cls == isa.ClassLoad && c.countMem(true) >= c.Cfg.LQEntries {
-		return true
-	}
-	if cls == isa.ClassStore && c.countMem(false) >= c.Cfg.STQEntries {
-		return true
-	}
-	if cls == isa.ClassFence && (c.robCount > 0 || len(c.inflight) > 0) {
-		return true
+	case cls == isa.ClassLoad:
+		return c.robLoads >= c.Cfg.LQEntries
+	case cls == isa.ClassStore:
+		return c.robStores >= c.Cfg.STQEntries
+	case cls == isa.ClassFence:
+		// Fences dispatch only into an empty window.
+		return c.robCount > 0 || len(c.inflight) > 0
 	}
 	return false
 }

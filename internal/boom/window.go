@@ -38,6 +38,8 @@ func (c *Core) ResetPipeline() {
 	c.uops.reset()
 	c.robHead = 0
 	c.robCount = 0
+	c.robLoads = 0
+	c.robStores = 0
 	for q := range c.iq {
 		c.iq[q] = c.iq[q][:0]
 	}

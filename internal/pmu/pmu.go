@@ -52,6 +52,10 @@ type PMU struct {
 	inhibit  uint64 // mcountinhibit: bit 0 = cycle, bit 2 = instret, 3.. = hpm
 	mcycle   uint64
 	minstret uint64
+	// live has bit i set when counter i is uninhibited and selects at
+	// least one event: the only counters Tick/TickN visit. Recomputed by
+	// updateLive wherever inhibit or selected changes.
+	live uint32
 
 	// DistWidth forces the distributed architecture's local counter width
 	// (0 = sized automatically to ceil(log2(sources))). Undersized widths
@@ -82,6 +86,17 @@ func (p *PMU) Reset() {
 		p.selectors[i] = Selector{}
 		p.selected[i] = p.selected[i][:0]
 		p.counters[i].reset()
+	}
+	p.live = 0
+}
+
+// updateLive recomputes the live-counter mask from inhibit and selected.
+func (p *PMU) updateLive() {
+	p.live = 0
+	for i := range p.selected {
+		if p.inhibit&(1<<uint(i+3)) == 0 && len(p.selected[i]) > 0 {
+			p.live |= 1 << uint(i)
+		}
 	}
 }
 
@@ -117,6 +132,7 @@ func (p *PMU) Configure(i int, sel Selector) error {
 	}
 	p.scratch[i] = make([]uint64, len(p.selected[i]))
 	p.counters[i] = p.newCounter(srcs)
+	p.updateLive()
 	return nil
 }
 
@@ -146,10 +162,13 @@ func (p *PMU) ConfigureEvents(i int, names ...string) error {
 }
 
 // SetInhibit sets the whole mcountinhibit register.
-func (p *PMU) SetInhibit(v uint64) { p.inhibit = v }
+func (p *PMU) SetInhibit(v uint64) {
+	p.inhibit = v
+	p.updateLive()
+}
 
 // EnableAll clears every inhibit bit (step 4 of the harness sequence).
-func (p *PMU) EnableAll() { p.inhibit = 0 }
+func (p *PMU) EnableAll() { p.SetInhibit(0) }
 
 // Tick advances the PMU one cycle: sample holds this cycle's event lane
 // assertions and retired is the number of instructions committed this
@@ -161,17 +180,11 @@ func (p *PMU) Tick(sample Sample, retired int) {
 	if p.inhibit&4 == 0 {
 		p.minstret += uint64(retired)
 	}
-	for i := range p.counters {
-		if p.inhibit&(1<<uint(i+3)) != 0 {
-			continue
-		}
-		sel := p.selected[i]
-		if len(sel) == 0 {
-			continue
-		}
+	for m := p.live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
 		buf := p.scratch[i]
 		any := false
-		for j, idx := range sel {
+		for j, idx := range p.selected[i] {
 			buf[j] = sample[idx]
 			any = any || buf[j] != 0
 		}
@@ -199,17 +212,11 @@ func (p *PMU) TickN(sample Sample, retired int, n uint64) {
 	if p.inhibit&4 == 0 {
 		p.minstret += uint64(retired) * n
 	}
-	for i := range p.counters {
-		if p.inhibit&(1<<uint(i+3)) != 0 {
-			continue
-		}
-		sel := p.selected[i]
-		if len(sel) == 0 {
-			continue
-		}
+	for m := p.live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
 		buf := p.scratch[i]
 		any := false
-		for j, idx := range sel {
+		for j, idx := range p.selected[i] {
 			buf[j] = sample[idx]
 			any = any || buf[j] != 0
 		}
@@ -295,7 +302,7 @@ func (p *PMU) WriteCSR(addr uint16, val uint64) {
 	case addr == CSRMInstret:
 		p.minstret = val
 	case addr == CSRMCountInhibit:
-		p.inhibit = val
+		p.SetInhibit(val)
 	case addr >= CSRMHPMCounter3 && addr < CSRMHPMCounter3+NumHPMCounters:
 		p.counters[addr-CSRMHPMCounter3].write(val)
 	case addr >= CSRMHPMEvent3 && addr < CSRMHPMEvent3+NumHPMCounters:

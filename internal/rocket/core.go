@@ -228,15 +228,19 @@ func (c *Core) streamEmpty() bool { return len(c.putback) == 0 && c.CPU.Halted }
 
 func (c *Core) ibufLen() int { return len(c.ibuf) - c.ibufHead }
 
-// ibufPush appends an entry, compacting the consumed head first when the
-// backing array (capacity IBufEntries) is full — so pushes never grow it.
-func (c *Core) ibufPush(e fetchEntry) {
+// ibufPush appends a cleared entry and returns it for the caller to fill
+// in place, compacting the consumed head first when the backing array
+// (capacity IBufEntries) is full — so pushes never grow it.
+func (c *Core) ibufPush() *fetchEntry {
 	if len(c.ibuf) == cap(c.ibuf) && c.ibufHead > 0 {
 		n := copy(c.ibuf, c.ibuf[c.ibufHead:])
 		c.ibuf = c.ibuf[:n]
 		c.ibufHead = 0
 	}
-	c.ibuf = append(c.ibuf, e)
+	c.ibuf = c.ibuf[:len(c.ibuf)+1]
+	e := &c.ibuf[len(c.ibuf)-1]
+	*e = fetchEntry{}
+	return e
 }
 
 func (c *Core) ibufPop() {
@@ -427,7 +431,7 @@ func (c *Core) issueStage() int {
 	}
 
 	c.recoveringFlag = false // a packet is valid again
-	e := c.ibuf[c.ibufHead]
+	e := &c.ibuf[c.ibufHead]
 	in := e.rec.Inst
 
 	// Operand interlocks.
@@ -450,7 +454,8 @@ func (c *Core) issueStage() int {
 		return 0
 	}
 
-	// Issue.
+	// Issue. e stays valid after the pop: nothing pushes to the
+	// instruction buffer before fetchStage.
 	c.ibufPop()
 	c.assert(idInstIssued)
 	c.execute(e)
@@ -462,7 +467,7 @@ func (c *Core) issueStage() int {
 }
 
 // execute applies per-class timing.
-func (c *Core) execute(e fetchEntry) {
+func (c *Core) execute(e *fetchEntry) {
 	in := e.rec.Inst
 	rd := in.DestReg()
 	switch in.Op.Class() {
@@ -642,15 +647,15 @@ func (c *Core) fetchStage() error {
 				return nil
 			}
 		}
-		entry := fetchEntry{rec: rec, availableAt: c.cycle + 1}
+		e := c.ibufPush()
+		e.rec = rec
+		e.availableAt = c.cycle + 1
 
 		redirecting := rec.NextPC != rec.PC+isa.InstBytes
 		switch rec.Inst.Op.Class() {
 		case isa.ClassBranch:
-			pred := c.Pred.PredictBranch(rec.PC)
-			entry.mispredicted = pred != rec.Taken
-			c.ibufPush(entry)
-			if entry.mispredicted {
+			e.mispredicted = c.Pred.PredictBranch(rec.PC) != rec.Taken
+			if e.mispredicted {
 				// Frontend runs down the wrong path until the branch
 				// resolves at execute.
 				c.fetchBlocked = true
@@ -661,7 +666,6 @@ func (c *Core) fetchStage() error {
 				return nil
 			}
 		case isa.ClassJump:
-			c.ibufPush(entry)
 			if redirecting {
 				pen := 1 // jal: target known at decode
 				if rec.Inst.Op == isa.JALR {
@@ -671,7 +675,6 @@ func (c *Core) fetchStage() error {
 				return nil
 			}
 		default:
-			c.ibufPush(entry)
 			if redirecting {
 				// ecall or similar: stop the packet.
 				return nil
