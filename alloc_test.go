@@ -257,3 +257,71 @@ func TestBoomSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRocketRetimeSteadyStateAllocs / TestBoomRetimeSteadyStateAllocs pin
+// the shape-keyed core pool's steady state: a warmed core alternating
+// between two timing configs of one shape (Retime, then Reset and
+// RunCycles) allocates nothing, so a timing-only sweep costs the cycle
+// loop alone.
+func TestRocketRetimeSteadyStateAllocs(t *testing.T) {
+	k, err := kernel.ByName("towers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := k.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := rocket.DefaultConfig()
+	slow.MulLatency += 2
+	slow.Hierarchy.MemLatency += 40
+	cfgs := [2]rocket.Config{rocket.DefaultConfig(), slow}
+	c := rocket.New(cfgs[0], prog)
+	i := 0
+	allocs := testing.AllocsPerRun(4, func() {
+		i++
+		c.Retime(cfgs[i%2])
+		c.Reset(prog)
+		if err := c.RunCycles(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > rocketRunAllocBudget {
+		t.Errorf("rocket retimed steady-state run allocates %.1f objects, budget %d",
+			allocs, rocketRunAllocBudget)
+	}
+}
+
+func TestBoomRetimeSteadyStateAllocs(t *testing.T) {
+	k, err := kernel.ByName("towers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := k.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []boom.Size{boom.Small, boom.Large, boom.Mega} {
+		slow := boom.NewConfig(size)
+		slow.LoadLatency++
+		slow.Hierarchy.L2HitLatency += 10
+		cfgs := [2]boom.Config{boom.NewConfig(size), slow}
+		c, err := boom.New(cfgs[0], prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(4, func() {
+			i++
+			c.Retime(cfgs[i%2])
+			c.Reset(prog)
+			if err := c.RunCycles(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > boomRunAllocBudget {
+			t.Errorf("%v boom retimed steady-state run allocates %.1f objects, budget %d",
+				size, allocs, boomRunAllocBudget)
+		}
+	}
+}

@@ -166,6 +166,27 @@ func NewConfig(s Size) Config {
 	return commonTiming(c)
 }
 
+// Shape returns cfg with every pure timing field zeroed: the redirect
+// and resteer bubbles, the execution latencies and run budgets, plus the
+// hierarchy's (mem.HierarchyConfig.Shape). The cycle loop reads these
+// from Cfg as it goes and nothing is sized by them, so cores built from
+// configs of equal shape differ only in timing and one can be Retimed to
+// the other. Every field not listed here stays in the shape: a forgotten
+// timing field costs pool reuse, never correctness.
+func (cfg Config) Shape() Config {
+	cfg.RedirectLatency = 0
+	cfg.TakenBubble = 0
+	cfg.BTBMissPenalty = 0
+	cfg.JALRPenalty = 0
+	cfg.LoadLatency = 0
+	cfg.MulLatency = 0
+	cfg.DivLatency = 0
+	cfg.MaxCycles = 0
+	cfg.MaxInsts = 0
+	cfg.Hierarchy = cfg.Hierarchy.Shape()
+	return cfg
+}
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	if c.IntPorts+c.MemPorts+c.LongPorts != c.IssueWidth {

@@ -255,6 +255,19 @@ func (c *Core) Reset(prog *asm.Program) {
 	c.telSkipE = 0
 }
 
+// Retime installs cfg on a core built from a config of the same Shape,
+// so a pooled core can serve a timing-only sweep without a rebuild. It
+// panics on a shape mismatch. Call Reset before the next run as usual; a
+// retimed, Reset core behaves byte-identically to one freshly built from
+// cfg.
+func (c *Core) Retime(cfg Config) {
+	if cfg.Shape() != c.Cfg.Shape() {
+		panic(fmt.Sprintf("boom: Retime across shapes: %+v -> %+v", c.Cfg, cfg))
+	}
+	c.Hier.Retime(cfg.Hierarchy)
+	c.Cfg = cfg
+}
+
 // SetCycleHook installs a per-cycle observer.
 func (c *Core) SetCycleHook(h pmu.CycleHook) { c.hook = h }
 

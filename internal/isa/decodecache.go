@@ -3,28 +3,29 @@ package isa
 // The decode cache memoizes fetch+decode, the fixed per-Step overhead
 // that dominates functional execution (every instruction pays one memory
 // load and one full decode otherwise). It is pure memoization: entries
-// are tagged with the exact PC, any store that overlaps a cached word
-// invalidates it, fence.i flushes it, and Reset clears it — so cached
-// execution is bit-identical to uncached, including under self-modifying
-// code.
+// are tagged with the exact PC and the flush generation they were filled
+// in, any store that overlaps a cached word invalidates it, and fence.i,
+// Reset and FlushDecode flush it by bumping the generation (O(1): entries
+// from an older generation simply stop matching) — so cached execution is
+// bit-identical to uncached, including under self-modifying code.
 const (
 	dcBits = 12 // 4096 entries ≈ 16 KiB of code, direct-mapped by word
 	dcSize = 1 << dcBits
 	dcMask = dcSize - 1
 )
 
+// dcEntry is valid while gen equals the CPU's dcGen. Generations start at
+// 1, so a zeroed entry (or one cleared by a store) never matches.
 type dcEntry struct {
-	pc    uint64
-	inst  Inst
-	valid bool
+	pc   uint64
+	inst Inst
+	gen  uint64
 }
 
 func newDecodeCache() []dcEntry { return make([]dcEntry, dcSize) }
 
 func (c *CPU) flushDecode() {
-	for i := range c.dcache {
-		c.dcache[i].valid = false
-	}
+	c.dcGen++
 	// Superblocks re-verify lazily: bumping the epoch marks every
 	// translated block stale without walking the cache (see
 	// superblock.go); blocks whose source words are unchanged restamp
@@ -50,8 +51,8 @@ func (c *CPU) storeMem(addr uint64, size int, val uint64) {
 		first := addr >> 2
 		last := (addr + uint64(size-1)) >> 2
 		for w := first; w <= last; w++ {
-			if e := &c.dcache[w&dcMask]; e.valid && e.pc>>2 == w {
-				e.valid = false
+			if e := &c.dcache[w&dcMask]; e.gen == c.dcGen && e.pc>>2 == w {
+				e.gen = 0
 			}
 		}
 	}

@@ -56,8 +56,10 @@ type CPU struct {
 	// dcache memoizes fetch+decode per word-aligned PC (see
 	// decodecache.go for the invalidation contract). [dcLo, dcHi)
 	// summarizes every PC ever cached so storeMem can reject data
-	// stores without walking words; it never shrinks.
+	// stores without walking words; it never shrinks. dcGen is the
+	// current flush generation (≥ 1).
 	dcache []dcEntry
+	dcGen  uint64
 	dcLo   uint64
 	dcHi   uint64
 
@@ -83,7 +85,7 @@ type CPU struct {
 // NewCPU returns a CPU with PC set to entry, executing from mem. The
 // superblock engine is enabled per DefaultSuperblocks.
 func NewCPU(mem Memory, entry uint64) *CPU {
-	c := &CPU{PC: entry, Mem: mem, reservation: -1, dcache: newDecodeCache()}
+	c := &CPU{PC: entry, Mem: mem, reservation: -1, dcache: newDecodeCache(), dcGen: 1}
 	c.SetSuperblocks(DefaultSuperblocks)
 	return c
 }
@@ -124,7 +126,7 @@ func (c *CPU) Step() (Retired, error) {
 		return Retired{}, fmt.Errorf("isa: step on halted CPU (exit code %d)", c.ExitCode)
 	}
 	var in Inst
-	if e := &c.dcache[(c.PC>>2)&dcMask]; e.valid && e.pc == c.PC {
+	if e := &c.dcache[(c.PC>>2)&dcMask]; e.gen == c.dcGen && e.pc == c.PC {
 		in = e.inst
 	} else {
 		word := uint32(c.Mem.Load(c.PC, instBytes))
@@ -133,7 +135,7 @@ func (c *CPU) Step() (Retired, error) {
 			return Retired{Seq: c.InstRet, PC: c.PC, Inst: in},
 				fmt.Errorf("isa: illegal instruction 0x%08x at pc 0x%x", word, c.PC)
 		}
-		*e = dcEntry{pc: c.PC, inst: in, valid: true}
+		*e = dcEntry{pc: c.PC, inst: in, gen: c.dcGen}
 		if c.dcHi == 0 || c.PC < c.dcLo {
 			c.dcLo = c.PC
 		}

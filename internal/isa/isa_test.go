@@ -481,3 +481,52 @@ func TestEcallHandlerHook(t *testing.T) {
 		t.Fatalf("calls=%d exit=%d", calls, c.ExitCode)
 	}
 }
+
+// TestFlushDecodeRedecodes pins the decode cache's generation flush: code
+// rewritten behind the CPU's back (bypassing storeMem's per-word
+// invalidation) keeps executing from the cache until FlushDecode, after
+// which the next Step at the same PC decodes the new word. Repeated
+// flushes must not revive an entry filled in an older generation.
+func TestFlushDecodeRedecodes(t *testing.T) {
+	c, m := loadProgram(t, []Inst{
+		{Op: ADDI, Rd: A0, Rs1: A0, Imm: 1}, // 0
+		{Op: JAL, Rd: X0, Imm: -4},          // 4
+	})
+	c.SetSuperblocks(false)
+	step := func() Retired {
+		t.Helper()
+		r, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	step()
+	step() // back at pc 0 with its decode cached
+	w, err := Encode(Inst{Op: ADDI, Rd: A0, Rs1: A0, Imm: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Store(0, 4, uint64(w))
+	if r := step(); r.Inst.Imm != 1 {
+		t.Fatalf("unflushed step decoded imm %d, want the cached 1", r.Inst.Imm)
+	}
+	step()
+	c.FlushDecode()
+	if r := step(); r.PC != 0 || r.Inst.Imm != 2 {
+		t.Fatalf("step after FlushDecode at pc %#x decoded imm %d, want pc 0 imm 2", r.PC, r.Inst.Imm)
+	}
+	if got := c.Reg(A0); got != 4 {
+		t.Fatalf("a0 = %d, want 4", got)
+	}
+	// Restore the original word and flush twice: the next step must
+	// decode it afresh, not hit the imm-2 entry from an older generation.
+	w1, _ := Encode(Inst{Op: ADDI, Rd: A0, Rs1: A0, Imm: 1})
+	m.Store(0, 4, uint64(w1))
+	step()
+	c.FlushDecode()
+	c.FlushDecode()
+	if r := step(); r.Inst.Imm != 1 {
+		t.Fatalf("step after double flush decoded imm %d, want 1", r.Inst.Imm)
+	}
+}

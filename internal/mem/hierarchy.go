@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // HierarchyConfig describes the full memory system shared by Rocket and
 // BOOM in the paper (Table IV "Common"): 32 KiB 8-way 64 B-block L1I/L1D,
 // 512 KiB 8-way 64 B-block L2, no LLC, FASED-like fixed DRAM latency.
@@ -41,6 +43,18 @@ func DefaultHierarchyConfig(nMSHRs int) HierarchyConfig {
 
 		NextLinePrefetch: true,
 	}
+}
+
+// Shape returns cfg with its pure timing fields zeroed: the level
+// latencies, which the hierarchy reads at access time and never sizes
+// anything by. Two configs with equal shapes build identical structures,
+// so a hierarchy of one can be Retimed to the other.
+func (cfg HierarchyConfig) Shape() HierarchyConfig {
+	cfg.L2HitLatency = 0
+	cfg.MemLatency = 0
+	cfg.TLBHitL2 = 0
+	cfg.PTWLatency = 0
+	return cfg
 }
 
 // Hierarchy is the instantiated memory system.
@@ -90,6 +104,17 @@ func (h *Hierarchy) Reset() {
 	h.pfBlock = 0
 	h.pfReadyAt = 0
 	h.pfValid = false
+}
+
+// Retime installs cfg's latencies on a hierarchy built from a config of
+// the same shape. It panics on a shape mismatch: caches, TLBs and MSHRs
+// are sized at construction, so only timing may change in place. Call
+// Reset before the next run as usual.
+func (h *Hierarchy) Retime(cfg HierarchyConfig) {
+	if cfg.Shape() != h.Cfg.Shape() {
+		panic(fmt.Sprintf("mem: Retime across shapes: %+v -> %+v", h.Cfg, cfg))
+	}
+	h.Cfg = cfg
 }
 
 // NextEvent returns the earliest cycle strictly after now at which the

@@ -57,3 +57,27 @@ func (Config) CommitWidth() int { return 1 }
 
 // IssueWidth returns Rocket's issue width (always 1).
 func (Config) IssueWidth() int { return 1 }
+
+// Shape returns cfg with every pure timing field zeroed: the penalties,
+// latencies and run budgets, plus the hierarchy's (mem.HierarchyConfig.Shape).
+// The cycle loop reads these from Cfg as it goes and nothing is sized by
+// them, so cores built from configs of equal shape differ only in timing
+// and one can be Retimed to the other. Every field not listed here stays
+// in the shape: a forgotten timing field costs pool reuse, never
+// correctness.
+func (cfg Config) Shape() Config {
+	cfg.BrMispredictPenalty = 0
+	cfg.TakenBubble = 0
+	cfg.BTBMissPenalty = 0
+	cfg.JALRPenalty = 0
+	cfg.LoadUseDelay = 0
+	cfg.MulLatency = 0
+	cfg.DivLatency = 0
+	cfg.CSRLatency = 0
+	cfg.FencePenalty = 0
+	cfg.FenceIPenalty = 0
+	cfg.MaxCycles = 0
+	cfg.MaxInsts = 0
+	cfg.Hierarchy = cfg.Hierarchy.Shape()
+	return cfg
+}

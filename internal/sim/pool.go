@@ -16,10 +16,12 @@ import (
 // per job. Building a core allocates its caches, predictor tables,
 // sparse-memory frames, and uop arena; Reset restores all of that in
 // place (the program image is zeroed and copied back), so a pooled job's
-// steady-state cost is the cycle loop alone. One sync.Pool per config
-// fingerprint (Job.ConfigFingerprint, which names the core kind) — a
-// pooled core is only ever handed to a job with the exact same core and
-// configuration, and idle cores stay reclaimable by the GC.
+// steady-state cost is the cycle loop alone. One sync.Pool per shape
+// (Job.PoolKey: the core kind plus every config field except the pure
+// timing ones) — a pooled core is only ever handed to a job whose config
+// builds the same structures, and is Retimed to that job's exact config
+// before it runs, so a timing-only sweep reuses one core. Idle cores stay
+// reclaimable by the GC; the key map holds one entry per shape ever run.
 //
 // The pools are process-wide (like the kernel program cache): every
 // Runner shares them, so replacing the default runner keeps warm cores.
@@ -28,7 +30,9 @@ type corePools struct {
 	pools map[string]*sync.Pool
 }
 
-func (cp *corePools) get(key string) *sync.Pool {
+// get returns key's pool, creating it on first use, and publishes the
+// number of distinct keys on gauge.
+func (cp *corePools) get(key string, gauge *obs.Gauge) *sync.Pool {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.pools == nil {
@@ -39,22 +43,36 @@ func (cp *corePools) get(key string) *sync.Pool {
 		p = &sync.Pool{}
 		cp.pools[key] = p
 	}
+	gauge.Set(int64(len(cp.pools)))
 	return p
 }
 
 var cores corePools
 
 // executeJob runs one job on the tid's trace track, on the core model
-// its kind selects. The per-kind code is only the constructor, the
-// telemetry handle, and the result field; everything else is runDetailed.
+// its kind selects. The per-kind code is only the acquisition closure
+// (Retime a pooled core, or build one), the telemetry handle, and the
+// result field; everything else is runDetailed.
 func (r *Runner) executeJob(j Job, tid int) Result {
 	res := Result{Job: j}
 	if j.Core == Boom {
 		res.Boom, res.Sampled, res.Breakdown, res.Err = runDetailed(r, j, tid, r.m.boom,
-			func(prog *asm.Program) (perf.Core[boom.Result], error) { return boom.New(j.Boom, prog) })
+			func(c perf.Core[boom.Result], prog *asm.Program) (perf.Core[boom.Result], error) {
+				if c != nil {
+					c.(*boom.Core).Retime(j.Boom)
+					return c, nil
+				}
+				return boom.New(j.Boom, prog)
+			})
 	} else {
 		res.Rocket, res.Sampled, res.Breakdown, res.Err = runDetailed(r, j, tid, r.m.rocket,
-			func(prog *asm.Program) (perf.Core[rocket.Result], error) { return rocket.New(j.Rocket, prog), nil })
+			func(c perf.Core[rocket.Result], prog *asm.Program) (perf.Core[rocket.Result], error) {
+				if c != nil {
+					c.(*rocket.Core).Retime(j.Rocket)
+					return c, nil
+				}
+				return rocket.New(j.Rocket, prog), nil
+			})
 	}
 	return res
 }
@@ -63,17 +81,20 @@ func (r *Runner) executeJob(j Job, tid int) Result {
 // full detail through the split perf.Simulate/Tally halves, the serial
 // sampled engine, or the two-phase plan engine on SamplePar window
 // workers. Each stage gets its own span. With pooling enabled (the
-// default) the cores are recycled; Reset guarantees the result is
-// byte-identical to a fresh-core run (the determinism and golden-reset
+// default) the cores are recycled: acquire gets each pooled core (nil on
+// a pool miss, with the kernel's program) and returns it Retimed to the
+// job's config, or a freshly built one. Retime plus the Reset every
+// engine starts with guarantee the result is byte-identical to a
+// fresh-core run (the determinism, Reset- and Retime-matches-fresh
 // tests enforce this), so pooling is invisible outside the allocation
 // profile. With pooling off every core is built fresh and dropped
 // afterwards. Cores go back to the pool even after an error: Reset
-// reinitializes every field. The runner's throughput telemetry handle is
-// (re-)installed on every acquisition — it survives Reset, so cycle and
-// instruction counts are attributed to the runner currently driving the
-// core.
+// reinitializes every field and Retime every timing one. The runner's
+// throughput telemetry handle is (re-)installed on every acquisition —
+// it survives Reset, so cycle and instruction counts are attributed to
+// the runner currently driving the core.
 func runDetailed[R any](r *Runner, j Job, tid int, tel *obs.CoreTelemetry,
-	build func(*asm.Program) (perf.Core[R], error)) (res R, rep *sample.Report, b core.Breakdown, err error) {
+	acquire func(perf.Core[R], *asm.Program) (perf.Core[R], error)) (res R, rep *sample.Report, b core.Breakdown, err error) {
 	tr := r.tracer
 	plan := j.Sample.Enabled() && j.SamplePar > 0
 	n := 1
@@ -83,7 +104,7 @@ func runDetailed[R any](r *Runner, j Job, tid int, tel *obs.CoreTelemetry,
 	cs := make([]perf.Core[R], 0, n)
 	var pool *sync.Pool
 	if r.corePool {
-		pool = cores.get(j.ConfigFingerprint())
+		pool = cores.get(j.PoolKey(), r.m.corePools)
 		defer func() {
 			for _, c := range cs {
 				pool.Put(c)
@@ -98,14 +119,16 @@ func runDetailed[R any](r *Runner, j Job, tid int, tel *obs.CoreTelemetry,
 		if pool != nil {
 			c, _ = pool.Get().(perf.Core[R])
 		}
+		var prog *asm.Program // stays nil when a pooled core is retimed
 		if c == nil {
-			var prog *asm.Program
-			if prog, err = j.Kernel.Program(); err == nil {
-				c, err = build(prog)
-			}
-			if err != nil {
+			if prog, err = j.Kernel.Program(); err != nil {
 				return res, nil, b, err
 			}
+		}
+		if c, err = acquire(c, prog); err != nil {
+			return res, nil, b, err
+		}
+		if prog != nil {
 			r.m.coreBuilds.Inc()
 			fresh = true
 		} else {

@@ -62,6 +62,7 @@ type runnerMetrics struct {
 	latency    *obs.Histogram // per-simulation wall time, ns observed / seconds exposed
 	coreBuilds *obs.Counter   // cores constructed (pool misses)
 	coreReuses *obs.Counter   // jobs served by a recycled core
+	corePools  *obs.Gauge     // distinct core-pool keys (nil when standalone)
 
 	windowHits   *obs.Counter // sampled windows served from the window memo
 	windowMisses *obs.Counter // sampled windows actually executed
@@ -109,6 +110,8 @@ func registryMetrics(reg *obs.Registry) *runnerMetrics {
 			"cores constructed for the pool"),
 		coreReuses: reg.Counter("icicle_sim_core_reuses_total",
 			"jobs served by a recycled core"),
+		corePools: reg.Gauge("icicle_sim_core_pools",
+			"distinct core shapes pooled in this process"),
 		windowHits: reg.Counter("icicle_sim_window_hits_total",
 			"sampled windows served from the window memo"),
 		windowMisses: reg.Counter("icicle_sim_window_misses_total",
@@ -256,22 +259,25 @@ func (r *Runner) RunOne(j Job) Result {
 
 // runOne is the per-job pipeline: record submission, close the queue
 // span, run the job span around the cache lookup (and the simulation it
-// may trigger), then fire the completion callback.
+// may trigger), then fire the completion callback. The memo key is
+// rendered once here and handed down: the trace labels, memo, store and
+// slow-job leaderboard all use it.
 func (r *Runner) runOne(j Job, tid int, queuedAt time.Time) Result {
 	if r.startNano.Load() == 0 {
 		r.startNano.CompareAndSwap(0, time.Now().UnixNano())
 	}
 	r.m.jobs.Inc()
+	key := j.Key()
 	tr := r.tracer
 	var sp obs.Span
 	if tr != nil {
-		key := shortKey(j.Key())
+		short := shortKey(key)
 		tr.Async("queued", "queue", r.asyncID.Add(1), queuedAt, time.Now(),
-			obs.Arg{Key: "key", Val: key})
-		sp = tr.Begin("job "+key, "job", tid)
+			obs.Arg{Key: "key", Val: short})
+		sp = tr.Begin("job "+short, "job", tid)
 	}
 	start := time.Now()
-	res := r.lookupOrSimulate(j, tid)
+	res := r.lookupOrSimulate(j, key, tid)
 	wall := time.Since(start)
 	if tr != nil {
 		sp.End(obs.Arg{Key: "cached", Val: res.Cached})
@@ -283,11 +289,12 @@ func (r *Runner) runOne(j Job, tid int, queuedAt time.Time) Result {
 	return res
 }
 
-func (r *Runner) lookupOrSimulate(j Job, tid int) Result {
+// lookupOrSimulate serves j (whose memo key is key) from the memo, the
+// store, or a simulation.
+func (r *Runner) lookupOrSimulate(j Job, key string, tid int) Result {
 	if !r.memoize {
-		return r.simulate(j, tid)
+		return r.simulate(j, key, tid)
 	}
-	key := j.Key()
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -304,7 +311,7 @@ func (r *Runner) lookupOrSimulate(j Job, tid int) Result {
 	// Memo miss: consult the persistent store (L2) before simulating, and
 	// write fresh results back so the next process gets them for free.
 	if r.store != nil {
-		if res, ok := r.loadStored(j); ok {
+		if res, ok := r.loadStored(j, key); ok {
 			r.m.storeHits.Inc()
 			e.res = res
 			close(e.done)
@@ -312,21 +319,21 @@ func (r *Runner) lookupOrSimulate(j Job, tid int) Result {
 		}
 		r.m.storeMisses.Inc()
 	}
-	e.res = r.simulate(j, tid)
+	e.res = r.simulate(j, key, tid)
 	if r.store != nil {
-		r.storeResult(j, e.res)
+		r.storeResult(key, e.res)
 	}
 	close(e.done)
 	return e.res
 }
 
-func (r *Runner) simulate(j Job, tid int) Result {
+func (r *Runner) simulate(j Job, key string, tid int) Result {
 	r.m.misses.Inc()
 	start := time.Now()
 	res := r.executeJob(j, tid)
 	wall := time.Since(start)
 	r.m.latency.Observe(uint64(wall))
-	r.slow.observe(j.Key(), wall)
+	r.slow.observe(key, wall)
 	return res
 }
 

@@ -136,6 +136,18 @@ func (j Job) ConfigFingerprint() string {
 	return fmt.Sprintf("rocket|%+v", j.Rocket)
 }
 
+// PoolKey names the core pool a job draws from: the core kind plus the
+// config's Shape, which zeroes the pure timing fields. Jobs that differ
+// only in timing share one pool, and the runner Retimes a pooled core to
+// the job's config before its Reset, so a latency sweep builds one core.
+// ConfigFingerprint, not PoolKey, stays the memo and sharding axis.
+func (j Job) PoolKey() string {
+	if j.Core == Boom {
+		return fmt.Sprintf("boom|%+v", j.Boom.Shape())
+	}
+	return fmt.Sprintf("rocket|%+v", j.Rocket.Shape())
+}
+
 // Result is one job's outcome. Exactly one of Rocket/Boom is populated,
 // per Job.Core. Cached results share Tally/LaneTally maps with every other
 // holder of the same key: treat them as read-only.

@@ -41,7 +41,10 @@ const (
 // StoreKey is the persistent-store key for a job: the memo fingerprint
 // under the job namespace. store.Addr(StoreKey(j)) is the content
 // address served at /store/{addr}.
-func StoreKey(j Job) string { return jobKeyPrefix + j.Key() }
+func StoreKey(j Job) string { return storeKey(j.Key()) }
+
+// storeKey is StoreKey for an already rendered memo key.
+func storeKey(memoKey string) string { return jobKeyPrefix + memoKey }
 
 // persistResult is the on-disk form of a Result: everything except the
 // Job descriptor (the key identifies it; the loader re-attaches the
@@ -92,9 +95,9 @@ func DecodeResult(payload []byte, j Job) (Result, error) {
 	}, nil
 }
 
-// loadStored consults the L2 for a job result.
-func (r *Runner) loadStored(j Job) (Result, bool) {
-	payload, ok := r.store.Get(StoreKey(j))
+// loadStored consults the L2 for a job result; key is j's memo key.
+func (r *Runner) loadStored(j Job, key string) (Result, bool) {
+	payload, ok := r.store.Get(storeKey(key))
 	if !ok {
 		return Result{}, false
 	}
@@ -107,8 +110,9 @@ func (r *Runner) loadStored(j Job) (Result, bool) {
 	return res, true
 }
 
-// storeResult persists a freshly simulated result (best effort).
-func (r *Runner) storeResult(j Job, res Result) {
+// storeResult persists a freshly simulated result under its job's memo
+// key (best effort).
+func (r *Runner) storeResult(key string, res Result) {
 	if res.Err != nil {
 		return
 	}
@@ -116,7 +120,7 @@ func (r *Runner) storeResult(j Job, res Result) {
 	if err != nil {
 		return
 	}
-	r.store.Put(StoreKey(j), payload)
+	r.store.Put(storeKey(key), payload)
 }
 
 // encodeWindow / decodeWindow are the window-memo blob codec. The window
