@@ -82,9 +82,13 @@ superblock-smoke:
 # kernel differentials for Rocket and every BOOM size, Reset-reuse
 # identity with the skip on, and a sampled report compared deep-equal
 # across the two cycle loops, run under the race detector (see
-# detail_smoke_test.go and DESIGN.md "Event-driven detailed cycle loops").
+# detail_smoke_test.go and DESIGN.md "Event-driven detailed cycle loops");
+# plus BOOM's event-driven issue wakeup checked against a reference after
+# every cycle on every size, and the uop slot-size pin (see
+# internal/boom/wakeup_test.go and DESIGN.md "BOOM issue wakeup").
 detail-smoke:
 	$(GO) test -race -run=DetailSmoke -count=1 .
+	$(GO) test -race -run='WakeupMatchesReference|UopSlotSize' -count=1 ./internal/boom/
 
 # Sweep-service smoke: the icicle-serve end-to-end contract under the
 # race detector — HTTP results byte-identical to the in-process runner, a

@@ -41,6 +41,16 @@ func TestConfigsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("inconsistent ports validated")
 	}
+	// The wakeup lists' 16-bit links address at most 1<<14 uop slots.
+	huge := large()
+	huge.ROBEntries = 1 << 14
+	if err := huge.Validate(); err != nil {
+		t.Errorf("ROB of %d entries: %v", huge.ROBEntries, err)
+	}
+	huge.ROBEntries++
+	if err := huge.Validate(); err == nil {
+		t.Errorf("ROB of %d entries validated", huge.ROBEntries)
+	}
 }
 
 func TestILPBoundByIntPorts(t *testing.T) {

@@ -200,5 +200,9 @@ func (c Config) Validate() error {
 	if c.ROBEntries < 2*c.DecodeWidth {
 		return fmt.Errorf("boom: ROB too small (%d)", c.ROBEntries)
 	}
+	if c.ROBEntries > maxROBEntries {
+		// Wakeup links are 16-bit slot references (see wakeup.go).
+		return fmt.Errorf("boom: ROB too large (%d > %d)", c.ROBEntries, maxROBEntries)
+	}
 	return nil
 }

@@ -25,17 +25,23 @@ const (
 // arena and addressed by index (see arena.go). rec is the only copy of
 // the instruction: a poison uop's rec carries just the decoded Inst and
 // PC (poison records are never put back, and every MemAddr read is gated
-// by !poison). The scheduling state the issue scan reads for every
-// queued operand (gen, done, doneAt) sits ahead of rec, in the first
+// by !poison). The scheduling state that issue selection and wakeup read
+// (readyAt, the wakeup links, the flags) sits ahead of rec, in the first
 // cache line of the 128-byte slot.
 type uop struct {
 	seq      uint64
 	doneAt   uint64
 	issuedAt uint64
-	gen      uint32 // slot generation, bumped on release
+	readyAt  uint64 // max doneAt over the producers that have issued
 
-	src1, src2 uref // producers captured at rename (nilRef = ready)
+	// Wakeup links (wakeup.go): prod[s] is source s's producer while it
+	// has not issued; deps heads this uop's own list of waiting
+	// consumers, whose nodes are threaded through their next[s].
+	prod [2]link
+	next [2]link
+	deps link
 
+	q           queueKind
 	poison      bool // wrong-path: will be flushed, never retires
 	issued      bool
 	done        bool
@@ -116,9 +122,16 @@ type Core struct {
 	robCount int
 	// robLoads/robStores count the ROB's load and store uops (atomics in
 	// both, poison included): the LQ/STQ occupancy dispatch checks.
-	robLoads   int
-	robStores  int
-	iq         [numQueues][]int32
+	robLoads  int
+	robStores int
+	// Issue queues (wakeup.go): iqLen counts each queue's unissued µops,
+	// the occupancy dispatch backpressure checks; cand holds, oldest
+	// first, the queued µops whose producers have all issued — the only
+	// ones issue selection reads. woken collects, per queue, the µops
+	// this cycle's issues woke until the last queue's scan is over.
+	iqLen      [numQueues]int
+	cand       [numQueues][]int32
+	woken      [numQueues][]int32
 	renameLast [32]int32 // last uop writing each register, nilIdx if none
 	inflight   []int32
 	longBusy   uint64 // unpipelined divider busy until
@@ -171,9 +184,10 @@ func New(cfg Config, prog *asm.Program) (*Core, error) {
 		inflight: make([]int32, 0, cfg.ROBEntries),
 		putback:  make([]isa.Retired, 0, cfg.ROBEntries+cfg.FBEntries),
 	}
-	c.iq[qInt] = make([]int32, 0, cfg.IQInt)
-	c.iq[qMem] = make([]int32, 0, cfg.IQMem)
-	c.iq[qLong] = make([]int32, 0, cfg.IQLong)
+	for q, n := range [numQueues]int{cfg.IQInt, cfg.IQMem, cfg.IQLong} {
+		c.cand[q] = make([]int32, 0, n)
+		c.woken[q] = make([]int32, 0, n)
+	}
 	for i := range c.renameLast {
 		c.renameLast[i] = nilIdx
 	}
@@ -237,9 +251,7 @@ func (c *Core) Reset(prog *asm.Program) {
 	c.robCount = 0
 	c.robLoads = 0
 	c.robStores = 0
-	for q := range c.iq {
-		c.iq[q] = c.iq[q][:0]
-	}
+	c.resetQueues()
 	for i := range c.renameLast {
 		c.renameLast[i] = nilIdx
 	}
@@ -548,12 +560,16 @@ func (c *Core) step() error {
 }
 
 func (c *Core) anyIQNonEmpty() bool {
-	for q := range c.iq {
-		if len(c.iq[q]) > 0 {
-			return true
-		}
+	return c.iqLen[qInt]|c.iqLen[qMem]|c.iqLen[qLong] != 0
+}
+
+// resetQueues empties the issue queues, keeping the lists' capacity.
+func (c *Core) resetQueues() {
+	c.iqLen = [numQueues]int{}
+	for q := range c.cand {
+		c.cand[q] = c.cand[q][:0]
+		c.woken[q] = c.woken[q][:0]
 	}
-	return false
 }
 
 // --- complete: writeback, branch resolution, memory-ordering checks ---
@@ -637,9 +653,12 @@ func (c *Core) findOrderingViolation(st *uop) *uop {
 //
 // Arena discipline: uop slots are released only here (the ROB-tail walk)
 // and at commit — every live uop sits in the ROB exactly once, so those
-// are the only release points and no slot is freed twice. The issue-queue
-// and inflight filters run before the ROB walk so they never read a
-// released slot.
+// are the only release points and no slot is freed twice. The
+// candidate-list and inflight filters run before the ROB walk so they
+// never read a released slot; the walk itself unlinks each squashed
+// waiting µop from its producers' dependents lists before releasing it.
+// No µop is woken-but-uninserted here: flushes happen in complete and
+// commit, before issue.
 func (c *Core) flushAfter(bound uint64) {
 	// Fetch buffer first (youngest instructions): push youngest-first so
 	// the oldest pops first.
@@ -651,15 +670,15 @@ func (c *Core) flushAfter(bound uint64) {
 	c.fb = c.fb[:0]
 	c.fbHead = 0
 
-	// Issue queues and inflight (before the ROB walk releases slots).
-	for q := range c.iq {
-		kept := c.iq[q][:0]
-		for _, ui := range c.iq[q] {
+	// Candidate lists and inflight (before the ROB walk releases slots).
+	for q := range c.cand {
+		kept := c.cand[q][:0]
+		for _, ui := range c.cand[q] {
 			if c.uops.at(ui).seq <= bound {
 				kept = append(kept, ui)
 			}
 		}
-		c.iq[q] = kept
+		c.cand[q] = kept
 	}
 	kept := c.inflight[:0]
 	for _, ui := range c.inflight {
@@ -680,7 +699,12 @@ func (c *Core) flushAfter(bound uint64) {
 		}
 		c.countLSQ(u, -1)
 		c.robCount--
-		c.uops.release(c.rob[c.robSlot(c.robCount)])
+		ui := c.rob[c.robSlot(c.robCount)]
+		if !u.issued {
+			c.iqLen[u.q]--
+			c.unlinkSources(ui, u)
+		}
+		c.uops.release(ui)
 	}
 
 	// Rebuild the rename table from the surviving ROB entries.
@@ -745,74 +769,80 @@ func (c *Core) commitStage() int {
 
 func (c *Core) issueStage() {
 	lane := 0
-	lane = c.issueQueue(qInt, c.Cfg.IntPorts, lane)
-	lane = c.issueQueue(qMem, c.Cfg.MemPorts, lane)
-	c.issueQueue(qLong, c.Cfg.LongPorts, lane)
+	ports := [numQueues]int{c.Cfg.IntPorts, c.Cfg.MemPorts, c.Cfg.LongPorts}
+	for q := range c.cand {
+		if len(c.cand[q]) > 0 {
+			c.issueQueue(queueKind(q), ports[q], lane)
+		}
+		lane += ports[q]
+	}
+	for q := range c.woken {
+		if len(c.woken[q]) > 0 {
+			c.insertWoken(queueKind(q))
+		}
+	}
 }
 
-func (c *Core) issueQueue(q queueKind, ports, laneBase int) int {
-	used := 0
-	iq := c.iq[q]
-	kept := iq[:0]
-	for i, ui := range iq {
-		if used == ports || (q == qLong && c.longBusy > c.cycle) {
-			// No port (or the unpipelined divider) is free: the rest stay
-			// queued in order.
-			kept = append(kept, iq[i:]...)
+// issueQueue issues, oldest first, up to ports ready candidates of queue
+// q, asserting uops-issued from lane laneBase on; µops still waiting on
+// a producer are not in the list at all. The list is compacted in place,
+// and left untouched when nothing issues.
+func (c *Core) issueQueue(q queueKind, ports, laneBase int) {
+	if q == qLong && c.longBusy > c.cycle {
+		return // the unpipelined divider is busy
+	}
+	cand := c.cand[q]
+	used, kept := 0, 0
+	for i, ui := range cand {
+		if used == ports {
+			// No port (or the divider) is free: the rest stay queued in
+			// order.
+			kept += copy(cand[kept:], cand[i:])
 			break
 		}
 		if !c.ready(c.uops.at(ui)) {
-			kept = append(kept, ui)
+			cand[kept] = ui
+			kept++
 			continue
 		}
 		c.executeUop(ui)
 		c.assertLane(c.ids.uopsIssued, laneBase+used)
 		used++
-		c.issuedThisCycle++
-	}
-	c.iq[q] = kept
-	return laneBase + ports
-}
-
-// srcPending reports whether a producer captured in r has not yet written
-// back. A generation mismatch means the producer retired (or was
-// squashed) since rename — its value is architectural, so the operand is
-// ready, matching the old committed-*uop pointer semantics. A resolved
-// link is cleared to nilRef: a producer only moves toward done, so the
-// operand stays ready and later scans skip the producer's slot.
-func (c *Core) srcPending(r *uref) bool {
-	if r.idx < 0 {
-		return false
-	}
-	u := c.uops.at(r.idx)
-	if u.gen == r.gen && (!u.done || u.doneAt > c.cycle) {
-		return true
-	}
-	*r = nilRef
-	return false
-}
-
-func (c *Core) ready(u *uop) bool {
-	if c.srcPending(&u.src1) || c.srcPending(&u.src2) {
-		return false
-	}
-	// With store forwarding enabled the LSU also disambiguates: a load
-	// waits for older same-dword stores instead of speculating past them
-	// (and then takes the bypass). Without it, loads speculate and
-	// ordering violations machine-clear (the default, §IV-A).
-	if c.Cfg.StoreForwarding && u.isLoad && !u.poison {
-		for i := 0; i < c.robCount; i++ {
-			st := c.robAt(i)
-			if st.seq >= u.seq {
-				break
-			}
-			if st.isStore && !st.poison && st.rec.MemAddr>>3 == u.rec.MemAddr>>3 &&
-				(!st.done || st.doneAt > c.cycle) {
-				return false
-			}
+		if q == qLong && c.longBusy > c.cycle {
+			ports = used
 		}
 	}
-	return true
+	if used > 0 {
+		c.cand[q] = cand[:kept]
+		c.iqLen[q] -= used
+		c.issuedThisCycle += used
+	}
+}
+
+// ready reports whether the candidate u can issue this cycle. With store
+// forwarding enabled the LSU also disambiguates: a load waits for older
+// same-dword stores instead of speculating past them (and then takes the
+// bypass). Without it, loads speculate and ordering violations
+// machine-clear (the default, §IV-A).
+func (c *Core) ready(u *uop) bool {
+	return u.readyAt <= c.cycle &&
+		!(c.Cfg.StoreForwarding && u.isLoad && !u.poison && c.olderStorePending(u))
+}
+
+// olderStorePending reports whether a store older than the load ld to the
+// same dword has not written back yet.
+func (c *Core) olderStorePending(ld *uop) bool {
+	for i := 0; i < c.robCount; i++ {
+		st := c.robAt(i)
+		if st.seq >= ld.seq {
+			break
+		}
+		if st.isStore && !st.poison && st.rec.MemAddr>>3 == ld.rec.MemAddr>>3 &&
+			(!st.done || st.doneAt > c.cycle) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *Core) executeUop(ui int32) {
@@ -820,6 +850,7 @@ func (c *Core) executeUop(ui int32) {
 	u.issued = true
 	u.issuedAt = c.cycle
 	if u.poison {
+		// Wrong-path µops read no sources, so none depends on a poison µop.
 		u.doneAt = c.cycle + 1
 		c.inflight = append(c.inflight, ui)
 		return
@@ -852,6 +883,9 @@ func (c *Core) executeUop(ui int32) {
 		u.doneAt = c.cycle + 1
 	}
 	c.inflight = append(c.inflight, ui)
+	if u.deps != nilLink {
+		c.wakeDependents(u)
+	}
 }
 
 func (c *Core) noteDAccess(d mem.DResult) {
@@ -912,6 +946,7 @@ func (c *Core) tryDispatch(e *fbEntry) bool {
 	ui := c.uops.alloc()
 	u := c.uops.at(ui)
 	u.seq = c.seq
+	u.q = q
 	u.rec = e.rec
 	u.poison = e.poison
 	u.isMispredBr = e.mispredBr
@@ -922,26 +957,21 @@ func (c *Core) tryDispatch(e *fbEntry) bool {
 	if !u.poison {
 		rs1, rs2 := e.rec.Inst.SrcRegs()
 		if rs1 != isa.X0 {
-			u.src1 = c.refTo(c.renameLast[rs1])
+			c.addSource(ui, u, 0, c.renameLast[rs1])
 		}
 		if rs2 != isa.X0 {
-			u.src2 = c.refTo(c.renameLast[rs2])
+			c.addSource(ui, u, 1, c.renameLast[rs2])
 		}
 	}
 	if rd := e.rec.Inst.DestReg(); rd != isa.X0 {
 		c.renameLast[rd] = ui
 	}
 	c.robPush(ui)
-	c.iq[q] = append(c.iq[q], ui)
-	return true
-}
-
-// refTo captures a producer link against idx's current generation.
-func (c *Core) refTo(idx int32) uref {
-	if idx < 0 {
-		return nilRef
+	c.iqLen[q]++
+	if !u.waiting() {
+		c.cand[q] = append(c.cand[q], ui)
 	}
-	return uref{idx: idx, gen: c.uops.at(idx).gen}
+	return true
 }
 
 // --- fetch ---

@@ -30,6 +30,8 @@ type lsqChecker struct {
 	steps     int
 	maxLoads  int
 	maxStores int
+	// extra, if set, runs further invariant checks wherever check does.
+	extra func(where string)
 }
 
 func (k *lsqChecker) check(where string) {
@@ -41,6 +43,9 @@ func (k *lsqChecker) check(where string) {
 	}
 	k.maxLoads = max(k.maxLoads, loads)
 	k.maxStores = max(k.maxStores, stores)
+	if k.extra != nil {
+		k.extra(where)
+	}
 }
 
 // run steps until the core drains or n more cycles have passed.

@@ -97,18 +97,21 @@ func (c *Core) quiesceTarget() (uint64, bool) {
 		add(u.doneAt)
 	}
 
-	// Issue: any ready uop in a servable queue fires this cycle. ready()
-	// is cycle-invariant while nothing completes (done flags and the
-	// store-forwarding disambiguation only change at a writeback, which
-	// the in-flight bounds cover), so scanning once at t suffices.
-	for q := range c.iq {
+	// Issue: any ready candidate in a servable queue fires this cycle;
+	// µops outside the candidate lists wait on an unissued producer.
+	// ready() is cycle-invariant while nothing completes (a candidate's
+	// readyAt is the doneAt of an issued producer, still in flight if in
+	// the future; done flags and the store-forwarding disambiguation only
+	// change at a writeback; the in-flight bounds cover all three), so
+	// scanning once at t suffices.
+	for q := range c.cand {
 		if queueKind(q) == qLong && c.longBusy > t {
-			if len(c.iq[q]) > 0 {
+			if c.iqLen[q] > 0 {
 				add(c.longBusy)
 			}
 			continue
 		}
-		for _, ui := range c.iq[q] {
+		for _, ui := range c.cand[q] {
 			if c.ready(c.uops.at(ui)) {
 				return 0, false
 			}
@@ -168,7 +171,7 @@ func (c *Core) dispatchBlocked(cls isa.Class) bool {
 	q := queueFor(cls)
 	cap := [numQueues]int{c.Cfg.IQInt, c.Cfg.IQMem, c.Cfg.IQLong}[q]
 	switch {
-	case len(c.iq[q]) >= cap:
+	case c.iqLen[q] >= cap:
 		return true
 	case cls == isa.ClassLoad:
 		return c.robLoads >= c.Cfg.LQEntries

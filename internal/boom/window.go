@@ -40,9 +40,7 @@ func (c *Core) ResetPipeline() {
 	c.robCount = 0
 	c.robLoads = 0
 	c.robStores = 0
-	for q := range c.iq {
-		c.iq[q] = c.iq[q][:0]
-	}
+	c.resetQueues()
 	for i := range c.renameLast {
 		c.renameLast[i] = nilIdx
 	}

@@ -64,11 +64,14 @@ type CPU struct {
 	dcHi   uint64
 
 	// Superblock engine state (see superblock.go). sb is the
-	// direct-mapped translated-block cache; sbEpoch is bumped by decode
-	// flushes and code-range stores so stale blocks re-verify lazily;
-	// [sbLo, sbHi) summarizes all translated code for the storeMem fast
-	// reject; sbCur/sbKilled coordinate in-flight self-invalidation.
+	// direct-mapped translated-block cache (a power-of-two size that
+	// grows with the translated range; sbMask = len(sb)-1); sbEpoch is
+	// bumped by decode flushes and code-range stores so stale blocks
+	// re-verify lazily; [sbLo, sbHi) summarizes all translated code for
+	// the storeMem fast reject and sizes the table; sbCur/sbKilled
+	// coordinate in-flight self-invalidation.
 	sb       []*superblock
+	sbMask   uint64
 	sbEpoch  uint64
 	sbLo     uint64
 	sbHi     uint64

@@ -392,6 +392,26 @@ func TestOpClassification(t *testing.T) {
 	}
 }
 
+// TestOpTableMatchesSwitches pins the Op lookup table to the switches it
+// is built from, over every Op value a byte can hold.
+func TestOpTableMatchesSwitches(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		op := Op(i)
+		if got, want := op.Class(), classOf(op); got != want {
+			t.Errorf("%v: Class() = %v, classOf = %v", op, got, want)
+		}
+		if got, want := op.WritesRd(), writesRd(op); got != want {
+			t.Errorf("%v: WritesRd() = %v, writesRd = %v", op, got, want)
+		}
+		if got, want := op.ReadsRs1(), readsRs1(op); got != want {
+			t.Errorf("%v: ReadsRs1() = %v, readsRs1 = %v", op, got, want)
+		}
+		if got, want := op.ReadsRs2(), readsRs2(op); got != want {
+			t.Errorf("%v: ReadsRs2() = %v, readsRs2 = %v", op, got, want)
+		}
+	}
+}
+
 // mockCSR records CSR traffic for instruction-semantics tests.
 type mockCSR struct {
 	regs map[uint16]uint64

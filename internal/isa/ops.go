@@ -196,8 +196,38 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
+// opInfo is what the timing models ask of an operation several times per
+// instruction per cycle. opTable holds it for every Op value, undefined
+// ones included, built from the switches that define each property
+// (classOf, writesRd, readsRs1, readsRs2), so a query is one indexed load
+// the compiler inlines.
+type opInfo struct {
+	class                        Class
+	writesRd, readsRs1, readsRs2 bool
+}
+
+var opTable = func() (t [256]opInfo) {
+	for i := range t {
+		op := Op(i)
+		t[i] = opInfo{classOf(op), writesRd(op), readsRs1(op), readsRs2(op)}
+	}
+	return t
+}()
+
 // Class reports the pipeline class of the operation.
-func (op Op) Class() Class {
+func (op Op) Class() Class { return opTable[op].class }
+
+// WritesRd reports whether the op architecturally writes rd.
+func (op Op) WritesRd() bool { return opTable[op].writesRd }
+
+// ReadsRs1 reports whether rs1 is a live source register.
+func (op Op) ReadsRs1() bool { return opTable[op].readsRs1 }
+
+// ReadsRs2 reports whether rs2 is a live source register.
+func (op Op) ReadsRs2() bool { return opTable[op].readsRs2 }
+
+// classOf defines each operation's pipeline class.
+func classOf(op Op) Class {
 	switch op {
 	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
 		return ClassBranch
@@ -250,18 +280,18 @@ func (op Op) IsControlFlow() bool {
 	return c == ClassBranch || c == ClassJump
 }
 
-// WritesRd reports whether the op architecturally writes rd.
-// Atomics write rd (the old memory value; sc writes the success flag).
-func (op Op) WritesRd() bool {
-	switch op.Class() {
+// writesRd defines whether the op architecturally writes rd. Atomics
+// write rd (the old memory value; sc writes the success flag).
+func writesRd(op Op) bool {
+	switch classOf(op) {
 	case ClassBranch, ClassStore, ClassFence, ClassSystem:
 		return false
 	}
 	return true
 }
 
-// ReadsRs1 reports whether rs1 is a live source register.
-func (op Op) ReadsRs1() bool {
+// readsRs1 defines whether rs1 is a live source register.
+func readsRs1(op Op) bool {
 	switch op {
 	case LUI, AUIPC, JAL, FENCE, FENCEI, ECALL, EBREAK, CSRRWI, CSRRSI, CSRRCI:
 		return false
@@ -269,9 +299,9 @@ func (op Op) ReadsRs1() bool {
 	return true
 }
 
-// ReadsRs2 reports whether rs2 is a live source register.
-func (op Op) ReadsRs2() bool {
-	switch op.Class() {
+// readsRs2 defines whether rs2 is a live source register.
+func readsRs2(op Op) bool {
+	switch classOf(op) {
 	case ClassBranch, ClassStore:
 		return true
 	}

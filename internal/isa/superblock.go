@@ -36,11 +36,17 @@ package isa
 // live instruction counter, which the block executor only syncs at
 // block exit). Blocks never contain them, so a block can neither halt
 // nor flush mid-flight.
+//
+// The block table is direct-mapped by word address. It starts at 4096
+// entries (16 KiB of code) and doubles, rehashing every cached block,
+// whenever the translated range [sbLo, sbHi) outgrows it, up to
+// sbMaxSize: a kernel with more text than the table covers would
+// otherwise evict its own blocks on every loop trip and retranslate
+// faster than Step decodes.
 const (
-	sbBits   = 12 // 4096 entries, direct-mapped by word address
-	sbSize   = 1 << sbBits
-	sbMask   = sbSize - 1
-	sbMaxLen = 64 // instructions per block, cap on straight-line discovery
+	sbMinSize = 1 << 12 // initial table: 16 KiB of code
+	sbMaxSize = 1 << 16 // growth cap: 256 KiB of code, 512 KiB of table
+	sbMaxLen  = 64      // instructions per block, cap on straight-line discovery
 )
 
 // sbHandler executes one pre-decoded instruction. Returning true means
@@ -94,7 +100,8 @@ var DefaultSuperblocks = true
 func (c *CPU) SetSuperblocks(on bool) {
 	c.sbOn = on
 	if on && c.sb == nil {
-		c.sb = make([]*superblock, sbSize)
+		c.sb = make([]*superblock, sbMinSize)
+		c.sbMask = sbMinSize - 1
 		c.sbLo = ^uint64(0)
 	}
 }
@@ -123,7 +130,7 @@ func (c *CPU) RunFor(n uint64) (uint64, error) {
 		// Anything else (miss, stale epoch, untranslatable head) drops to
 		// lookupSB / Step.
 		pc := c.PC
-		b := c.sb[(pc>>2)&sbMask]
+		b := c.sb[(pc>>2)&c.sbMask]
 		if b == nil || b.pc != pc || b.epoch != c.sbEpoch {
 			b = c.lookupSB(pc)
 		} else {
@@ -218,8 +225,7 @@ func (c *CPU) runForSteppingTraced(n uint64, emit func(Retired)) (uint64, error)
 // translating on miss. The direct-mapped slot is keyed by word address
 // and tagged with the exact PC, mirroring the decode cache.
 func (c *CPU) lookupSB(pc uint64) *superblock {
-	e := &c.sb[(pc>>2)&sbMask]
-	b := *e
+	b := c.sb[(pc>>2)&c.sbMask]
 	if b != nil && b.pc == pc {
 		if b.epoch == c.sbEpoch {
 			c.sbStats.Hits++
@@ -235,14 +241,34 @@ func (c *CPU) lookupSB(pc uint64) *superblock {
 	c.sbStats.Misses++
 	b = c.translateSB(pc)
 	c.sbStats.Translations++
-	*e = b
-	if b.pc < c.sbLo {
-		c.sbLo = b.pc
+	c.sbLo = min(c.sbLo, b.pc)
+	c.sbHi = max(c.sbHi, b.end)
+	if words := (c.sbHi - c.sbLo) >> 2; words > uint64(len(c.sb)) && len(c.sb) < sbMaxSize {
+		// Grow before inserting, so b evicts no block the larger table
+		// has room for.
+		c.growSB(words)
 	}
-	if b.end > c.sbHi {
-		c.sbHi = b.end
-	}
+	c.sb[(pc>>2)&c.sbMask] = b
 	return b
+}
+
+// growSB doubles the block table until it covers words instructions (or
+// reaches sbMaxSize) and rehashes the cached blocks into it. The new size
+// is a multiple of the old, so blocks that had distinct slots keep
+// distinct slots: growing never evicts.
+func (c *CPU) growSB(words uint64) {
+	n := len(c.sb)
+	for uint64(n) < words && n < sbMaxSize {
+		n <<= 1
+	}
+	t := make([]*superblock, n)
+	mask := uint64(n - 1)
+	for _, b := range c.sb {
+		if b != nil {
+			t[(b.pc>>2)&mask] = b
+		}
+	}
+	c.sb, c.sbMask = t, mask
 }
 
 // verifySB checks the block's source words against memory; true means

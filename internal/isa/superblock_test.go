@@ -335,3 +335,59 @@ func TestSuperblockDisabledMatches(t *testing.T) {
 		t.Fatalf("exit = %d, want 15", sb.ExitCode)
 	}
 }
+
+// TestSuperblockTableGrows runs a loop over two blocks whose PCs share a
+// slot in the initial 4096-entry table. Once the translated range
+// outgrows the table it doubles, so both blocks stay cached; when the
+// range is beyond the cap the table stops at sbMaxSize and the blocks
+// keep evicting each other. Both engines must agree either way.
+func TestSuperblockTableGrows(t *testing.T) {
+	place := func(m simpleMem, at uint64, insts ...Inst) {
+		for i, in := range insts {
+			w, err := Encode(in)
+			if err != nil {
+				t.Fatalf("encode %v: %v", in, err)
+			}
+			m.Store(at+uint64(4*i), 4, uint64(w))
+		}
+	}
+	const iters = 100
+	for _, tc := range []struct {
+		name       string
+		far        uint64 // second block's PC
+		wantSize   int
+		wantTransl uint64 // the two blocks, retranslated on every eviction, and ECALL
+	}{
+		{"near", 0x4000, 2 * sbMinSize, 3},
+		{"beyond-cap", 0x1000000, sbMaxSize, 2*iters + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cpus [2]*CPU
+			for i, on := range []bool{true, false} {
+				m := simpleMem{}
+				place(m, 0,
+					Inst{Op: ADDI, Rd: T0, Rs1: T0, Imm: 1},
+					Inst{Op: LUI, Rd: T2, Imm: int64(tc.far >> 12)},
+					Inst{Op: JALR, Rd: X0, Rs1: T2})
+				place(m, tc.far,
+					Inst{Op: ADDI, Rd: T1, Imm: iters},
+					Inst{Op: BGE, Rs1: T0, Rs2: T1, Imm: 8},
+					Inst{Op: JALR, Rd: X0, Rs1: X0},
+					Inst{Op: ECALL})
+				cpus[i] = NewCPU(m, 0)
+				cpus[i].SetSuperblocks(on)
+			}
+			sb := cpus[0]
+			runTwins(t, sb, cpus[1], 10*iters)
+			if !sb.Halted || sb.X[T0] != iters {
+				t.Fatalf("loop did not finish: halted %v, t0 %d", sb.Halted, sb.X[T0])
+			}
+			if len(sb.sb) != tc.wantSize || sb.sbMask != uint64(tc.wantSize-1) {
+				t.Errorf("block table has %d entries (mask %#x), want %d", len(sb.sb), sb.sbMask, tc.wantSize)
+			}
+			if n := sb.SuperblockStats().Translations; n != tc.wantTransl {
+				t.Errorf("%d translations, want %d", n, tc.wantTransl)
+			}
+		})
+	}
+}
